@@ -14,7 +14,6 @@ from .distributions import (
     angmf_nll,
     angmf_nll_grad,
     angmf_pdf,
-    batch_nll,
     expected_angular_error,
     vonmf_nll,
     vonmf_nll_grad,
@@ -43,7 +42,6 @@ from .mapio import (
     write_normal_map,
 )
 from .metrics import (
-    ErrorSample,
     MetricsReport,
     SparsificationCurve,
     angular_errors,

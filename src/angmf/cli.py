@@ -68,6 +68,13 @@ def _nonneg_float(text):
     return v
 
 
+def _positive_int(text):
+    v = int(text)  # argparse turns a ValueError into a usage error
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return v
+
+
 def _dump_json(payload, path):
     if path is None:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -320,8 +327,8 @@ def build_parser():
     q.add_argument("--separation-deg", default=60.0, type=float)
     q.add_argument("--contamination", default=0.2, type=float)
     q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
-    q.add_argument("--samples", default=1000, type=int)
-    q.add_argument("--trials", default=100, type=int)
+    q.add_argument("--samples", default=1000, type=_positive_int)
+    q.add_argument("--trials", default=100, type=_positive_int)
     q.add_argument("--seed", required=True, type=int)
     q.add_argument("--out-json", default=None)
     q.set_defaults(func=_cmd_simulate_boundary)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyBatch, ShapeError
+from .errors import DomainError, ShapeError
 from .sphere import as_unit
 
 __all__ = [
@@ -38,11 +38,13 @@ __all__ = [
     "vonmf_nll_grad",
     "angmf_pdf",
     "angmf_nll",
+    "angmf_nll_at",
+    "angmf_nll_rows",
     "angmf_nll_grad",
+    "angmf_grad_rows",
     "angmf_error_pdf",
     "angmf_error_cdf",
     "expected_angular_error",
-    "batch_nll",
 ]
 
 # Gradient-path clamp for the dot product; acos is singular at +/-1.
@@ -174,32 +176,48 @@ def angmf_nll(params, n_gt):
 
     Equals ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa * acos(mu . n_gt)``.
     """
-    t = _dot(params.mu, n_gt)
-    k = params.kappa
-    return -math.log1p(k * k) + math.log1p(math.exp(-k * math.pi)) + k * math.acos(t)
+    return angmf_nll_at(params.kappa, math.acos(_dot(params.mu, n_gt)))
+
+
+# The nll is written twice on purpose, scalar (libm) and per row (numpy):
+# numpy's SIMD exp, log1p and arccos can differ from math.* in the last
+# bit, and each caller's output bits are part of the determinism contract.
+def angmf_nll_at(kappa, alpha):
+    """AngMF nll at error angle ``alpha``; linear in alpha, so a mean nll is its value at the mean angle."""
+    return -math.log1p(kappa * kappa) + math.log1p(math.exp(-kappa * math.pi)) + kappa * alpha
+
+
+def angmf_nll_rows(mu, kappa, n_gt):
+    """Per-row AngMF nll for (N, 3) ``mu`` and ``n_gt`` and (N,) ``kappa``."""
+    t = np.clip(np.sum(mu * n_gt, axis=1), -1.0, 1.0)
+    return -np.log1p(kappa * kappa) + np.log1p(np.exp(-math.pi * kappa)) + kappa * np.arccos(t)
+
+
+def angmf_grad_rows(mu, kappa, n_gt):
+    """Per-row AngMF nll gradient ``(d_mu, d_kappa, clamped)`` for the inputs of ``angmf_nll_rows``.
+
+    ``d_mu`` is tangent to mu.  ``d_kappa = acos(mu . n_gt) - E[alpha]``
+    vanishes exactly when kappa explains the observed angle.  Rows whose
+    dot product is clamped to +/-(1 - 1e-7) on the mu path are flagged.
+    """
+    t_raw = np.sum(mu * n_gt, axis=1)
+    alpha = np.arccos(np.clip(t_raw, -1.0, 1.0))
+    d_kappa = alpha - expected_angular_error(kappa)
+
+    tg = np.clip(t_raw, -GRAD_DOT_CLAMP, GRAD_DOT_CLAMP)
+    sin_a = np.sqrt(1.0 - tg * tg)
+    d_mu = (-kappa / sin_a)[:, None] * (n_gt - tg[:, None] * mu)
+    d_mu = d_mu - np.sum(d_mu * mu, axis=1, keepdims=True) * mu
+    return d_mu, d_kappa, np.abs(t_raw) > GRAD_DOT_CLAMP
 
 
 def angmf_nll_grad(params, n_gt):
-    """Gradient of :func:`angmf_nll` in (mu, kappa).
-
-    The kappa derivative is ``acos(mu . n_gt) - expected_angular_error(kappa)``,
-    so it vanishes exactly when kappa explains the observed angle.  Near
-    (anti)parallel inputs the dot product is clamped to +/-(1 - 1e-7) on
-    the mu path and the result is flagged ``clamped``.
-    """
-    mu, k = params.mu, params.kappa
+    """Gradient of :func:`angmf_nll` in (mu, kappa); one row of :func:`angmf_grad_rows`."""
     n = np.asarray(n_gt, dtype=np.float64)
     if n.shape != (3,):
         raise ShapeError(f"expected a single direction of shape (3,), got {n.shape}")
-    raw = float(np.dot(mu, n))
-    alpha = math.acos(min(1.0, max(-1.0, raw)))
-    d_kappa = alpha - float(expected_angular_error(k))
-
-    t = min(GRAD_DOT_CLAMP, max(-GRAD_DOT_CLAMP, raw))
-    s = math.sqrt(1.0 - t * t)
-    d_mu = (-k / s) * (n - t * mu)
-    d_mu = d_mu - np.dot(d_mu, mu) * mu
-    return NllGradient(d_mu=d_mu, d_kappa=d_kappa, clamped=abs(raw) > GRAD_DOT_CLAMP)
+    d_mu, d_kappa, clamped = angmf_grad_rows(params.mu[None, :], np.array([params.kappa]), n[None, :])
+    return NllGradient(d_mu=d_mu[0], d_kappa=float(d_kappa[0]), clamped=bool(clamped[0]))
 
 
 def _check_kappa(kappa):
@@ -254,37 +272,3 @@ def expected_angular_error(kappa):
     k = _check_kappa(kappa)
     out = 2.0 * k / (k * k + 1.0) + math.pi * _exp_neg_pi_k_frac(k)
     return out if out.ndim else float(out)
-
-
-def batch_nll(mu, kappa, n_gt, valid=None):
-    """Mean AngMF nll over the valid entries of a batch.
-
-    Parameters
-    ----------
-    mu : (N, 3) array of unit predictions
-    kappa : (N,) array of concentrations
-    n_gt : (N, 3) array of unit ground-truth directions
-    valid : optional (N,) boolean mask; all entries valid when omitted
-
-    Raises EmptyBatch when no entry is valid.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    n_gt = np.asarray(n_gt, dtype=np.float64)
-    k = _check_kappa(kappa)
-    if mu.ndim != 2 or mu.shape[1] != 3 or mu.shape != n_gt.shape:
-        raise ShapeError(f"mu and n_gt must both be (N, 3), got {mu.shape} and {n_gt.shape}")
-    if k.shape != (mu.shape[0],):
-        raise ShapeError(f"kappa must be ({mu.shape[0]},), got {k.shape}")
-    if valid is None:
-        valid = np.ones(mu.shape[0], dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (mu.shape[0],):
-            raise ShapeError(f"valid must be ({mu.shape[0]},), got {valid.shape}")
-    if not np.any(valid):
-        raise EmptyBatch("no valid entries in batch")
-    mu, k, n_gt = mu[valid], k[valid], n_gt[valid]
-    t = np.clip(np.sum(mu * n_gt, axis=1), -1.0, 1.0)
-    alpha = np.arccos(t)
-    nll = -np.log1p(k * k) + np.log1p(np.exp(-math.pi * k)) + k * alpha
-    return float(np.mean(nll))

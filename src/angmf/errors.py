@@ -10,7 +10,11 @@ class DegenerateVector(AngmfError):
 
 
 class DomainError(AngmfError):
-    """A scalar argument lies outside its mathematical domain."""
+    """A value lies outside its domain; ``index`` is the first bad element's flat position, if known."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyBatch(AngmfError):

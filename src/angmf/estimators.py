@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AngMFParams, GRAD_DOT_CLAMP, expected_angular_error
+from .distributions import AngMFParams, GRAD_DOT_CLAMP, angmf_nll_at, expected_angular_error
 from .errors import DegenerateResultant, EmptyBatch, ShapeError
 from .sphere import normalize, tangent_basis
 
@@ -200,7 +200,7 @@ def _softplus(rho):
 
 def _mean_nll(s, mu, kappa):
     alpha = np.arccos(np.clip(s @ mu, -1.0, 1.0))
-    return float(-math.log1p(kappa * kappa) + math.log1p(math.exp(-math.pi * kappa)) + kappa * np.mean(alpha))
+    return angmf_nll_at(kappa, float(np.mean(alpha)))
 
 
 def fit_angmf_mle(samples, tol=1e-8, max_iter=10000):

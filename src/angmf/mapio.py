@@ -17,7 +17,9 @@ so the CLI stays a thin argument-parsing shell.
 """
 
 import csv
+import itertools
 import json
+import math
 import struct
 
 import numpy as np
@@ -44,7 +46,30 @@ MAGIC_KAPPA = b"SKMP1"
 _HEADER = struct.Struct("<5sII")
 
 
-class NormalMap:
+def _first(mask):
+    """Flat index of the first True in ``mask``, or None."""
+    bad = np.flatnonzero(mask.ravel())
+    return int(bad[0]) if bad.size else None
+
+
+class _Grid:
+    """Size accessors and bitwise equality shared by the two map types."""
+
+    @property
+    def height(self):
+        return self.data.shape[0]
+
+    @property
+    def width(self):
+        return self.data.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
+
+
+class NormalMap(_Grid):
     """An (H, W, 3) float32 grid of unit normals; invalid pixels are NaN triplets."""
 
     def __init__(self, data):
@@ -52,13 +77,14 @@ class NormalMap:
         if data.ndim != 3 or data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) array, got {data.shape}")
         nan = np.isnan(data)
-        mixed = np.logical_xor(nan.any(axis=2), nan.all(axis=2))
-        if np.any(mixed):
-            raise DomainError("pixels must be fully NaN or fully finite")
-        present = ~nan.all(axis=2)
-        norms = np.linalg.norm(data[present].astype(np.float64), axis=-1)
-        if norms.size and np.max(np.abs(norms - 1.0)) >= UNIT_NORM_TOL:
-            raise DomainError("present pixels must be unit length within 1e-6")
+        norms = np.linalg.norm(data.astype(np.float64), axis=-1)
+        # a mixed NaN pixel has a NaN norm, so it fails the unit test too
+        with np.errstate(invalid="ignore"):
+            bad = ~nan.all(axis=2) & ~(np.abs(norms - 1.0) < UNIT_NORM_TOL)
+        i = _first(bad)
+        if i is not None:
+            what = "mixes NaN and finite components" if nan.reshape(-1, 3)[i].any() else "is not unit length"
+            raise DomainError(f"pixel {i} {what}", index=i)
         self.data = data
 
     @classmethod
@@ -79,51 +105,27 @@ class NormalMap:
         return cls(out.astype(np.float32))
 
     @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
     def valid(self):
         return ~np.isnan(self.data[..., 0])
 
-    def __eq__(self, other):
-        if not isinstance(other, NormalMap):
-            return NotImplemented
-        return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
 
-
-class KappaMap:
+class KappaMap(_Grid):
     """An (H, W) float32 grid of concentrations; invalid pixels are NaN."""
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 2:
             raise ShapeError(f"expected an (H, W) array, got {data.shape}")
-        finite = ~np.isnan(data)
-        if np.any(data[finite] < 0.0) or not np.all(np.isfinite(data[finite])):
-            raise DomainError("kappa values must be finite and >= 0 (or NaN)")
+        with np.errstate(invalid="ignore"):
+            bad = ~np.isnan(data) & ~(np.isfinite(data) & (data >= 0.0))
+        i = _first(bad)
+        if i is not None:
+            raise DomainError(f"pixel {i} has kappa {data.ravel()[i]}", index=i)
         self.data = data
-
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
 
     @property
     def valid(self):
         return ~np.isnan(self.data)
-
-    def __eq__(self, other):
-        if not isinstance(other, KappaMap):
-            return NotImplemented
-        return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
 
 
 def _read_header(buf, magic, path):
@@ -135,6 +137,25 @@ def _read_header(buf, magic, path):
     return width, height
 
 
+def _read_map(path, magic, cls, tail):
+    """Read one map file; the constructor's first bad pixel becomes the FormatError offset."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    width, height = _read_header(buf, magic, path)
+    pixel_bytes = 4 * math.prod(tail)
+    expected = _HEADER.size + pixel_bytes * width * height
+    if len(buf) != expected:
+        raise FormatError(
+            f"{path}: payload is {len(buf) - _HEADER.size} bytes, expected {expected - _HEADER.size}",
+            offset=min(len(buf), expected),
+        )
+    data = np.frombuffer(buf, dtype="<f4", offset=_HEADER.size)
+    try:
+        return cls(data.reshape((height, width) + tail).copy())
+    except DomainError as e:
+        raise FormatError(f"{path}: {e}", offset=_HEADER.size + pixel_bytes * e.index) from None
+
+
 def write_normal_map(normal_map, path):
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC_NORMAL, normal_map.width, normal_map.height))
@@ -142,33 +163,7 @@ def write_normal_map(normal_map, path):
 
 
 def read_normal_map(path):
-    with open(path, "rb") as f:
-        buf = f.read()
-    width, height = _read_header(buf, MAGIC_NORMAL, path)
-    expected = _HEADER.size + 12 * width * height
-    if len(buf) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - _HEADER.size} bytes, expected {expected - _HEADER.size}",
-            offset=min(len(buf), expected),
-        )
-    data = np.frombuffer(buf, dtype="<f4", count=width * height * 3, offset=_HEADER.size)
-    data = data.reshape(height, width, 3).copy()
-
-    nan = np.isnan(data)
-    mixed = np.logical_xor(nan.any(axis=2), nan.all(axis=2))
-    bad = np.flatnonzero(mixed.ravel())
-    if bad.size:
-        raise FormatError(f"{path}: pixel {bad[0]} mixes NaN and finite components",
-                          offset=_HEADER.size + 12 * int(bad[0]))
-    present = ~nan.all(axis=2)
-    norms = np.linalg.norm(data.astype(np.float64), axis=-1)
-    with np.errstate(invalid="ignore"):
-        off_unit = present & ~(np.abs(norms - 1.0) < UNIT_NORM_TOL)
-    bad = np.flatnonzero(off_unit.ravel())
-    if bad.size:
-        raise FormatError(f"{path}: pixel {bad[0]} is not unit length",
-                          offset=_HEADER.size + 12 * int(bad[0]))
-    return NormalMap(data)
+    return _read_map(path, MAGIC_NORMAL, NormalMap, (3,))
 
 
 def write_kappa_map(kappa_map, path):
@@ -178,25 +173,7 @@ def write_kappa_map(kappa_map, path):
 
 
 def read_kappa_map(path):
-    with open(path, "rb") as f:
-        buf = f.read()
-    width, height = _read_header(buf, MAGIC_KAPPA, path)
-    expected = _HEADER.size + 4 * width * height
-    if len(buf) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - _HEADER.size} bytes, expected {expected - _HEADER.size}",
-            offset=min(len(buf), expected),
-        )
-    data = np.frombuffer(buf, dtype="<f4", count=width * height, offset=_HEADER.size)
-    data = data.reshape(height, width).copy()
-    present = ~np.isnan(data)
-    with np.errstate(invalid="ignore"):
-        bad_mask = present & ((data < 0.0) | ~np.isfinite(data))
-    bad = np.flatnonzero(bad_mask.ravel())
-    if bad.size:
-        raise FormatError(f"{path}: pixel {bad[0]} has kappa {data.ravel()[bad[0]]}",
-                          offset=_HEADER.size + 4 * int(bad[0]))
-    return KappaMap(data)
+    return _read_map(path, MAGIC_KAPPA, KappaMap, ())
 
 
 def _fmt(x):
@@ -226,28 +203,36 @@ def write_vectors_csv(vectors, path):
             w.writerow([_fmt(row[0]), _fmt(row[1]), _fmt(row[2])])
 
 
-def read_vectors_csv(path):
-    """Read an x,y,z CSV back into an (N, 3) float array."""
-    rows = []
+def _data_lines(raw):
+    """(byte offset, stripped text) of each non-empty line after an optional x,y,z header."""
     offset = 0
+    for i, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(keepends=True)):
+        stripped = line.strip()
+        if stripped and not (i == 0 and stripped.lower().replace(" ", "") == "x,y,z"):
+            yield offset, stripped
+        offset += len(line.encode("utf-8"))
+
+
+def read_vectors_csv(path):
+    """Read an x,y,z CSV back into an (N, 3) float array of finite values."""
     with open(path, "rb") as f:
         raw = f.read()
-    lines = raw.decode("utf-8", errors="replace").splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if i == 0 and stripped.lower().replace(" ", "") == "x,y,z":
-            offset += len(line.encode("utf-8"))
-            continue
-        if stripped:
-            parts = stripped.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=offset)
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric field in {stripped!r}", offset=offset)
-        offset += len(line.encode("utf-8"))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    rows = []
+    for offset, stripped in _data_lines(raw):
+        parts = stripped.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=offset)
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise FormatError(f"{path}: non-numeric field in {stripped!r}", offset=offset)
+    out = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    i = _first(~np.isfinite(out).all(axis=1))
+    if i is not None:
+        # rare path: walk the lines again rather than keep every row's offset
+        offset, stripped = next(itertools.islice(_data_lines(raw), i, None))
+        raise FormatError(f"{path}: non-finite field in {stripped!r}", offset=offset)
+    return out
 
 
 def write_selection_csv(selection, path):

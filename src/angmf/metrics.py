@@ -15,7 +15,6 @@ values and AUSE is the AUSC of (estimated - oracle).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import DomainError, EmptyInput, ShapeError
 __all__ = [
     "THRESHOLDS_DEG",
     "METRIC_NAMES",
-    "ErrorSample",
     "MetricsReport",
     "SparsificationCurve",
     "angular_errors",
@@ -39,13 +37,6 @@ THRESHOLDS_DEG = (5.0, 7.5, 11.25, 22.5, 30.0)
 
 _PCT_KEYS = {5.0: "pct_5", 7.5: "pct_7_5", 11.25: "pct_11_25", 22.5: "pct_22_5", 30.0: "pct_30"}
 METRIC_NAMES = ("mean", "median", "rmse") + tuple(_PCT_KEYS.values())
-
-
-class ErrorSample(NamedTuple):
-    """One evaluated pixel: its angular error (degrees) and estimated uncertainty."""
-
-    error_deg: float
-    uncertainty: float
 
 
 @dataclass(frozen=True)

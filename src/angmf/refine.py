@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AngMFParams, GRAD_DOT_CLAMP, expected_angular_error
+from .distributions import AngMFParams, angmf_grad_rows, angmf_nll_rows, expected_angular_error
 from .errors import (
     DomainError,
     EmptyBatch,
@@ -135,16 +135,9 @@ def forward(mlp, feature):
     return AngMFParams(mu=mu[0], kappa=float(kappa[0]))
 
 
-def _head_gradients(n_gt, v, r, mu, kappa, z3):
+def _head_gradients(n_gt, r, mu, kappa, z3):
     """d(nll)/d(raw outputs) for each row, shape (N, 4)."""
-    t_raw = np.sum(mu * n_gt, axis=1)
-    alpha = np.arccos(np.clip(t_raw, -1.0, 1.0))
-    d_kappa = alpha - expected_angular_error(kappa)
-
-    tg = np.clip(t_raw, -GRAD_DOT_CLAMP, GRAD_DOT_CLAMP)
-    sin_a = np.sqrt(1.0 - tg * tg)
-    d_mu = (-kappa / sin_a)[:, None] * (n_gt - tg[:, None] * mu)
-    d_mu = d_mu - np.sum(d_mu * mu, axis=1, keepdims=True) * mu
+    d_mu, d_kappa, _ = angmf_grad_rows(mu, kappa, n_gt)
     # exact Jacobian of v / ||v||: J^T y = (y - mu (mu . y)) / r
     d_v = (d_mu - np.sum(d_mu * mu, axis=1, keepdims=True) * mu) / r[:, None]
 
@@ -162,8 +155,8 @@ def _backward_batch(mlp, x, n_gt):
         raise ShapeError(f"expected ({x.shape[0]}, 3) targets, got {n_gt.shape}")
     if x.shape[0] == 0:
         raise EmptyBatch("cannot backpropagate an empty batch")
-    _, _, (acts, pre, v, r, mu, kappa) = _forward_batch(mlp, x)
-    delta = _head_gradients(n_gt, v, r, mu, kappa, pre[-1][:, 3]) / x.shape[0]
+    _, _, (acts, pre, _, r, mu, kappa) = _forward_batch(mlp, x)
+    delta = _head_gradients(n_gt, r, mu, kappa, pre[-1][:, 3]) / x.shape[0]
 
     d_ws = [None] * len(mlp.weights)
     d_bs = [None] * len(mlp.weights)
@@ -224,10 +217,7 @@ def _mean_nll_all(mlp, frames):
         mu, kappa, _ = _forward_batch(mlp, x)
         gt = frame.gt.data.reshape(-1, 3).astype(np.float64)
         ok = frame.gt.valid.ravel()
-        t = np.clip(np.sum(mu[ok] * gt[ok], axis=1), -1.0, 1.0)
-        k = kappa[ok]
-        nll = -np.log1p(k * k) + np.log1p(np.exp(-math.pi * k)) + k * np.arccos(t)
-        total += float(nll.sum())
+        total += float(angmf_nll_rows(mu[ok], kappa[ok], gt[ok]).sum())
         count += int(ok.sum())
     if count == 0:
         raise EmptyBatch("no valid pixels across frames")

@@ -20,7 +20,7 @@ from .errors import DomainError
 from .rng import RngState
 from .sphere import tangent_basis
 
-__all__ = ["RngState", "invert_error_cdf", "sample_angmf", "sample_vonmf"]
+__all__ = ["RngState", "invert_error_cdf", "draw_angmf", "sample_angmf", "sample_vonmf"]
 
 
 def invert_error_cdf(kappa, u, iters=60):
@@ -55,15 +55,20 @@ def _frame(mu, alpha, phi):
     )
 
 
+def draw_angmf(mu, kappa, count, rng):
+    """``count`` AngMF draws around one (3,) ``mu`` or around (count, 3) per-row means."""
+    u = rng.uniform(count)
+    phi = 2.0 * math.pi * rng.uniform(count)
+    alpha = invert_error_cdf(kappa, u)
+    return _frame(mu, alpha, phi)
+
+
 def sample_angmf(params, count, rng):
     """Draw ``count`` exact AngMF samples as a (count, 3) array."""
     count = int(count)
     if count < 0:
         raise DomainError(f"cannot draw {count} samples")
-    u = rng.uniform(count)
-    phi = 2.0 * math.pi * rng.uniform(count)
-    alpha = invert_error_cdf(params.kappa, u)
-    return _frame(params.mu, alpha, phi)
+    return draw_angmf(params.mu, params.kappa, count, rng)
 
 
 def sample_vonmf(params, count, rng):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
-from .sampling import invert_error_cdf
-from .sphere import as_unit, tangent_basis
+from .sampling import draw_angmf
+from .sphere import as_unit
 
 __all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
 
@@ -74,21 +74,6 @@ class SyntheticFrame:
         return self.gt.width
 
 
-def _jitter(bases, kappa, rng):
-    """AngMF jitter around per-row base directions (radial draws, then azimuth)."""
-    count = bases.shape[0]
-    u = rng.uniform(count)
-    phi = 2.0 * math.pi * rng.uniform(count)
-    alpha = invert_error_cdf(kappa, u)
-    e1, e2 = tangent_basis(bases)
-    sin_a = np.sin(alpha)
-    return (
-        np.cos(alpha)[:, None] * bases
-        + (sin_a * np.cos(phi))[:, None] * e1
-        + (sin_a * np.sin(phi))[:, None] * e2
-    )
-
-
 def sample_boundary_pixels(scene, rng, count):
     """Draw ``count`` boundary-pixel ground truths from the mixture model.
 
@@ -100,7 +85,7 @@ def sample_boundary_pixels(scene, rng, count):
         raise DomainError(f"cannot draw {count} samples")
     pick_b = rng.uniform(count) < scene.contamination
     bases = np.where(pick_b[:, None], scene.normal_b, scene.normal_a)
-    return _jitter(bases, scene.jitter_kappa, rng)
+    return draw_angmf(bases, scene.jitter_kappa, count, rng)
 
 
 def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
@@ -157,7 +142,7 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
         flat_gt[b_idx[flips]] = nb[b_idx[flips]]
 
     if jitter_kappa is not None:
-        gt = _jitter(gt.reshape(-1, 3), jitter_kappa, rng).reshape(height, width, 3)
+        gt = draw_angmf(gt.reshape(-1, 3), jitter_kappa, height * width, rng).reshape(height, width, 3)
 
     noise = rng.uniform(5 * height * width).reshape(height, width, 5)
     features = np.empty((height, width, FEATURE_DIM))

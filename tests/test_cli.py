@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,16 @@ def test_fit_mle_identical_samples_not_converged(tmp_path, capsys):
     assert payload["converged"] is False
 
 
+@pytest.mark.parametrize("field", ["nan", "inf"])
+def test_fit_non_finite_csv_field_is_format_error(tmp_path, capsys, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,z\n0.0,0.0,1.0\n{field},0.0,1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--samples-csv", str(path), "--estimator", "mean"]) == 3
+    assert "(byte offset 18)" in capsys.readouterr().err
+
+
 # --------------------------------------------------------- expected-error
 
 
@@ -299,6 +310,14 @@ def test_simulate_boundary_median_wins(tmp_path):
     assert payload["median_wins"] + payload["mean_wins"] + payload["ties"] == 100
     assert payload["median_wins"] >= 95
     assert payload["median_error_deg_avg"] < payload["mean_error_deg_avg"]
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-3"], ["--samples", "0"]])
+def test_simulate_boundary_rejects_non_positive_counts(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate-boundary", "--seed", "1"] + argv)
+    assert ei.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- refine-demo

@@ -12,13 +12,13 @@ from angmf import (
     angmf_nll,
     angmf_nll_grad,
     angmf_pdf,
-    batch_nll,
     expected_angular_error,
     vonmf_nll,
     vonmf_nll_grad,
     vonmf_pdf,
 )
-from angmf.errors import DegenerateVector, DomainError, EmptyBatch, ShapeError
+from angmf.distributions import angmf_nll_at, angmf_nll_rows
+from angmf.errors import DegenerateVector, DomainError, ShapeError
 from angmf.sphere import normalize, tangent_basis
 
 from conftest import random_unit
@@ -379,7 +379,7 @@ def test_grad_shape_errors():
         vonmf_pdf(VonMFParams(EZ, 1.0), np.ones(2))
 
 
-# --------------------------------------------------------------- batch nll
+# ---------------------------------------------------------------- row nll
 
 
 def test_batch_nll_matches_scalar_mean():
@@ -388,31 +388,14 @@ def test_batch_nll_matches_scalar_mean():
     n_gt = random_unit(gen, 6)
     kappa = gen.uniform(0.1, 10.0, size=6)
     want = np.mean([angmf_nll(AngMFParams(mu[i], kappa[i]), n_gt[i]) for i in range(6)])
-    assert close(batch_nll(mu, kappa, n_gt), want, rel=1e-13)
+    assert close(float(np.mean(angmf_nll_rows(mu, kappa, n_gt))), want, rel=1e-13)
 
 
-def test_batch_nll_masking():
-    gen = np.random.default_rng(10)
-    mu = random_unit(gen, 5)
-    n_gt = random_unit(gen, 5)
-    kappa = gen.uniform(0.1, 5.0, size=5)
-    valid = np.array([True, False, True, False, True])
-    want = np.mean(
-        [angmf_nll(AngMFParams(mu[i], kappa[i]), n_gt[i]) for i in range(5) if valid[i]]
-    )
-    assert close(batch_nll(mu, kappa, n_gt, valid), want, rel=1e-13)
-
-
-def test_batch_nll_empty_and_shapes():
-    mu = np.tile(EZ, (3, 1))
-    kappa = np.ones(3)
-    with pytest.raises(EmptyBatch):
-        batch_nll(mu, kappa, mu, valid=np.zeros(3, dtype=bool))
-    with pytest.raises(ShapeError):
-        batch_nll(mu, kappa, mu[:2])
-    with pytest.raises(ShapeError):
-        batch_nll(mu, np.ones(4), mu)
-    with pytest.raises(ShapeError):
-        batch_nll(mu, kappa, mu, valid=np.ones(4, dtype=bool))
-    with pytest.raises(DomainError):
-        batch_nll(mu, -kappa, mu)
+def test_nll_at_mean_angle_is_mean_nll():
+    # the nll is linear in the angle, which the MLE fit relies on
+    gen = np.random.default_rng(11)
+    n_gt = random_unit(gen, 7)
+    p = AngMFParams(EZ, 2.5)
+    alphas = [math.acos(max(-1.0, min(1.0, float(np.dot(p.mu, n))))) for n in n_gt]
+    want = np.mean([angmf_nll(p, n) for n in n_gt])
+    assert close(angmf_nll_at(2.5, float(np.mean(alphas))), want, rel=1e-13)

@@ -149,6 +149,33 @@ def test_read_mixed_nan_pixel_offset(tmp_path):
     assert ei.value.offset == 13
 
 
+def test_read_reports_first_bad_pixel(tmp_path):
+    # a non-unit pixel 0 comes before a mixed NaN pixel 1
+    path = tmp_path / "order.snm"
+    non_unit = struct.pack("<3f", 0.0, 0.0, 0.5)
+    mixed = struct.pack("<3f", math.nan, 0.0, 1.0)
+    path.write_bytes(b"SNMP1" + struct.pack("<II", 2, 1) + non_unit + mixed)
+    with pytest.raises(FormatError) as ei:
+        read_normal_map(path)
+    assert ei.value.offset == 13
+    assert "pixel 0 is not unit length" in str(ei.value)
+
+
+def test_constructor_error_carries_first_bad_index():
+    data = np.tile(np.float32([0.0, 0.0, 1.0]), (2, 3, 1))
+    data[1, 0] = [np.nan, 0.0, 1.0]
+    data[1, 2] = [0.0, 0.0, 2.0]
+    with pytest.raises(DomainError) as ei:
+        NormalMap(data)
+    assert ei.value.index == 3
+    k = np.ones((2, 2), dtype=np.float32)
+    k[0, 1] = np.nan  # invalid, not bad
+    k[1, 1] = -1.0
+    with pytest.raises(DomainError) as ei:
+        KappaMap(k)
+    assert ei.value.index == 3
+
+
 # ------------------------------------------------------------ kappa maps
 
 
@@ -221,6 +248,11 @@ def test_vectors_csv_errors(tmp_path):
     path.write_text("x,y,z\n1.0,2.0,fish\n")
     with pytest.raises(FormatError):
         read_vectors_csv(path)
+    for field in ("nan", "inf", "-Infinity"):
+        path.write_text(f"x,y,z\n0.0,0.0,1.0\n0.0,{field},1.0\n")
+        with pytest.raises(FormatError) as ei:
+            read_vectors_csv(path)
+        assert ei.value.offset == 18  # start of the third line
 
 
 def test_vectors_csv_empty(tmp_path):

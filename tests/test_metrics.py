@@ -16,7 +16,7 @@ from angmf import (
     summarize,
 )
 from angmf.errors import DomainError, EmptyInput, ShapeError
-from angmf.metrics import METRIC_NAMES, THRESHOLDS_DEG, ErrorSample, valid_errors
+from angmf.metrics import METRIC_NAMES, THRESHOLDS_DEG, valid_errors
 
 SQRT750 = 27.386127875258305673
 
@@ -79,11 +79,6 @@ def test_summarize_validation():
         summarize([1.0, -0.5])
     with pytest.raises(DomainError):
         summarize([1.0, math.nan])
-
-
-def test_error_sample_tuple():
-    s = ErrorSample(error_deg=3.0, uncertainty=0.2)
-    assert s.error_deg == 3.0 and s.uncertainty == 0.2
 
 
 # ------------------------------------------------------------- angular errs
