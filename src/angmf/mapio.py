@@ -236,10 +236,10 @@ def read_vectors_csv(path):
 
 
 def write_selection_csv(selection, path):
+    # csv.writer's bytes (no field needs quoting), joined in batches so few
+    # small string objects are alive at once
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "role"])
-        for idx in selection.importance:
-            w.writerow([int(idx), "importance"])
-        for idx in selection.coverage:
-            w.writerow([int(idx), "coverage"])
+        f.write("index,role\r\n")
+        for role, idx in (("importance", selection.importance), ("coverage", selection.coverage)):
+            for s in range(0, idx.size, 8192):
+                f.write("".join([f"{i},{role}\r\n" for i in idx[s:s + 8192].tolist()]))

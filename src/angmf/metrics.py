@@ -11,6 +11,9 @@ ascending true error instead.  Accuracy-style metrics (the pct_*
 thresholds) are turned into errors by subtracting from 100 so that lower
 is better for every curve.  AUSC is the arithmetic mean of the 100 curve
 values and AUSE is the AUSC of (estimated - oracle).
+
+Each curve takes one sort (a median curve two) and matches np.median /
+np.mean on every prefix bit for bit, via order statistics and counts.
 """
 
 import math
@@ -95,20 +98,6 @@ def summarize(errors_deg):
     )
 
 
-def _metric_value(e, metric):
-    if metric == "mean":
-        return float(np.mean(e))
-    if metric == "median":
-        return float(np.median(e))
-    if metric == "rmse":
-        return float(math.sqrt(np.mean(e * e)))
-    t = {v: k for k, v in _PCT_KEYS.items()}.get(metric)
-    if t is None:
-        raise DomainError(f"unknown metric {metric!r}; choose one of {METRIC_NAMES}")
-    # accuracy turned into an error so that lower stays better
-    return float(100.0 - 100.0 * np.mean(e < t))
-
-
 @dataclass(frozen=True)
 class SparsificationCurve:
     """Curve values at x = 1..100 percent kept, for one metric."""
@@ -121,13 +110,40 @@ class SparsificationCurve:
         return np.arange(1, 101)
 
 
-def _prefix_curve(e_sorted, metric):
-    n = e_sorted.size
-    values = np.empty(100)
-    for i, x in enumerate(range(1, 101)):
-        k = math.ceil(x * n / 100.0)
-        values[i] = _metric_value(e_sorted[:k], metric)
-    return SparsificationCurve(metric=metric, values=values)
+def _prefix_medians(e, cuts, is_sorted):
+    # np.median is np.mean of the one or two middle order statistics; that
+    # mean sums from +0.0, so which of two tied signed zeros is taken never shows
+    if is_sorted:
+        return [np.mean(e[(k - 1) // 2:k // 2 + 1]) for k in cuts]
+    order = np.argsort(e, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(e.size)
+    member = np.zeros(e.size, dtype=bool)  # the prefix, in rank space
+    out = []
+    for done, k in zip([0] + cuts, cuts):
+        member[rank[done:k]] = True
+        out.append(np.mean(e[order[np.flatnonzero(member)[(k - 1) // 2:k // 2 + 1]]]))
+    return out
+
+
+def _prefix_curve(e, metric, is_sorted=False):
+    """Metric over the prefixes e[:k] at the cut points k = ceil(x * N / 100)."""
+    cuts = [math.ceil(x * e.size / 100.0) for x in range(1, 101)]
+    if metric == "mean":
+        values = [np.mean(e[:k]) for k in cuts]
+    elif metric == "median":
+        values = _prefix_medians(e, cuts, is_sorted)
+    elif metric == "rmse":
+        sq = e * e
+        values = [math.sqrt(np.mean(sq[:k])) for k in cuts]
+    else:
+        t = {v: k for k, v in _PCT_KEYS.items()}.get(metric)
+        if t is None:
+            raise DomainError(f"unknown metric {metric!r}; choose one of {METRIC_NAMES}")
+        # np.mean's IEEE steps over a bool prefix; 100 - accuracy so lower stays better
+        below = np.cumsum(e < t)
+        values = [100.0 - 100.0 * (float(below[k - 1]) / k) for k in cuts]
+    return SparsificationCurve(metric=metric, values=np.array(values, dtype=np.float64))
 
 
 def sparsification(errors_deg, uncertainties, metric="mean"):
@@ -150,8 +166,7 @@ def sparsification(errors_deg, uncertainties, metric="mean"):
 def oracle_curve(errors_deg, metric="mean"):
     """Best-case curve: pixels ranked by ascending true error."""
     e = _check_errors(errors_deg)
-    order = np.argsort(e, kind="stable")
-    return _prefix_curve(e[order], metric)
+    return _prefix_curve(np.sort(e, kind="stable"), metric, is_sorted=True)
 
 
 def ausc(curve):

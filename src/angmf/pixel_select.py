@@ -64,19 +64,18 @@ def select_pixels(uncertainty, valid, config, rng):
         raise InsufficientPixels(f"need {n_select} pixels but only {n_valid} are valid")
     n_importance = int(np.floor(config.beta_ug * n_select))
 
-    # stable sort on -uncertainty keeps ascending-index order within ties
-    order = np.argsort(-unc[candidates], kind="stable")
-    importance = candidates[order[:n_importance]]
-    remaining = np.sort(candidates[order[n_importance:]])
+    # the top n_importance values, ties at the threshold by ascending index
+    vals = unc[candidates]
+    t = np.partition(vals, n_valid - n_importance)[n_valid - n_importance] if n_importance else np.inf
+    take = vals > t
+    take[np.flatnonzero(vals == t)[:n_importance - int(take.sum())]] = True
+    importance = candidates[take]
+    pool = candidates[~take]
 
+    # partial Fisher-Yates in place; one uniform block equals n_coverage scalar draws
     n_coverage = n_select - n_importance
-    pool = remaining.copy()
-    for i in range(n_coverage):
-        j = i + rng.next_below(pool.size - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    coverage = pool[:n_coverage]
-
-    return PixelSelection(
-        importance=np.sort(importance),
-        coverage=np.sort(coverage),
-    )
+    i = np.arange(n_coverage)
+    j = np.minimum(i + (rng.uniform(n_coverage) * (pool.size - i)).astype(np.intp), pool.size - 1)
+    for a, b in enumerate(j.tolist()):
+        pool[a], pool[b] = pool[b], pool[a]
+    return PixelSelection(importance=importance, coverage=np.sort(pool[:n_coverage]))

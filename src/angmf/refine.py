@@ -264,7 +264,10 @@ def train(frames, config):
         nll = _mean_nll_all(mlp, frames)
         if not math.isfinite(nll):
             raise NumericalError(f"training diverged at epoch {epoch} (nll = {nll})")
-        errs = np.concatenate([valid_errors(_frame_errors_deg(mlp, f)[0]) for f in frames])
+        evals = [_frame_errors_deg(mlp, f) for f in frames]
+        if not any(np.any(kappa[f.gt.valid.ravel()]) for f, (_, kappa) in zip(frames, evals)):
+            raise NumericalError(f"kappa collapsed to 0 at every valid pixel at epoch {epoch}")
+        errs = np.concatenate([valid_errors(err) for err, _ in evals])
         stats.append(EpochStats(epoch=epoch, nll=nll, report=summarize(errs)))
     return mlp, stats
 

@@ -101,10 +101,11 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     width, height = int(width), int(height)
     if width < 1 or height < 1:
         raise DomainError(f"frame must be at least 1x1, got {width}x{height}")
-    normals = np.stack([as_unit(n) for n in plane_normals])
-    n_planes = normals.shape[0]
+    plane_normals = list(plane_normals)
+    n_planes = len(plane_normals)
     if n_planes < 1 or n_planes > width:
         raise DomainError(f"{n_planes} planes do not fit in width {width}")
+    normals = np.stack([as_unit(n) for n in plane_normals])
     if not 0.0 <= contamination < 0.5:
         raise DomainError(f"contamination must lie in [0, 0.5), got {contamination}")
     if jitter_kappa is not None and not (math.isfinite(jitter_kappa) and jitter_kappa > 0.0):

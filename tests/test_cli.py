@@ -345,3 +345,14 @@ def test_refine_demo_deterministic(tmp_path):
     assert main(argv + [outs[0]]) == 0
     assert main(argv + [outs[1]]) == 0
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--planes", "0"], 2, "0 planes do not fit in width 8"),
+    (["--planes", "-2"], 2, "planes do not fit in width 8"),
+    (["--lr", "1e9"], 4, "kappa collapsed to 0 at every valid pixel at epoch 1"),
+])
+def test_refine_demo_bad_planes_and_collapsed_kappa(argv, code, message, capsys):
+    base = ["refine-demo", "--width", "8", "--height", "8", "--epochs", "2", "--seed", "0"]
+    assert main(base + argv) == code
+    assert message in capsys.readouterr().err

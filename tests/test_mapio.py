@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import struct
@@ -290,3 +292,23 @@ def test_selection_csv_layout(tmp_path):
     write_selection_csv(sel, path)
     lines = path.read_text().splitlines()
     assert lines == ["index,role", "2,importance", "5,importance", "1,coverage", "7,coverage"]
+
+
+@pytest.mark.parametrize("importance, coverage", [
+    ([2, 5], [1, 7]),
+    (list(range(8193)), [9000, 307199]),  # crosses the writer's 8192-row batches
+    ([], [0, 3, 307199]),
+    ([4, 10, 99999], []),
+    ([], []),
+])
+def test_selection_csv_bytes_match_csv_writer(tmp_path, importance, coverage):
+    sel = PixelSelection(importance=np.array(importance, dtype=np.intp),
+                         coverage=np.array(coverage, dtype=np.intp))
+    path = tmp_path / "s.csv"
+    write_selection_csv(sel, path)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["index", "role"])
+    w.writerows([int(i), "importance"] for i in sel.importance)
+    w.writerows([int(i), "coverage"] for i in sel.coverage)
+    assert path.read_bytes() == ref.getvalue().encode()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angmf import (
     MetricsReport,
@@ -231,3 +233,47 @@ def test_curve_validation():
             sparsification(e, np.ones(10), metric="mean"),
             oracle_curve(e, metric="rmse"),
         )
+
+
+# ------------------------------------------- bit equality with np.median / np.mean
+
+
+def _reference_curve(e_ranked, metric):
+    """The per-prefix np.median / np.mean loop the curves must match bit for bit."""
+    thresholds = dict(zip(METRIC_NAMES[3:], THRESHOLDS_DEG))
+    n = e_ranked.size
+    values = np.empty(100)
+    for i, x in enumerate(range(1, 101)):
+        p = e_ranked[:math.ceil(x * n / 100.0)]
+        if metric == "mean":
+            values[i] = float(np.mean(p))
+        elif metric == "median":
+            values[i] = float(np.median(p))
+        elif metric == "rmse":
+            values[i] = float(math.sqrt(np.mean(p * p)))
+        else:
+            values[i] = float(100.0 - 100.0 * np.mean(p < thresholds[metric]))
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    e_levels=st.integers(1, 400),
+    u_levels=st.integers(1, 400),
+)
+def test_curves_bit_equal_per_prefix_reference(n, seed, e_levels, u_levels):
+    # values drawn from few levels give many exact ties in both rankings;
+    # the error levels include both zeros and the pct thresholds themselves
+    gen = np.random.default_rng(seed)
+    levels = np.concatenate([[0.0, -0.0], THRESHOLDS_DEG, gen.uniform(0.0, 180.0, e_levels)])
+    e = gen.choice(levels, size=n)
+    u = gen.choice(gen.uniform(0.0, 2.0, u_levels), size=n)
+    by_unc = e[np.argsort(u, kind="stable")]
+    by_err = e[np.argsort(e, kind="stable")]
+    for metric in METRIC_NAMES:
+        est = sparsification(e, u, metric=metric).values
+        assert est.tobytes() == _reference_curve(by_unc, metric).tobytes(), metric
+        orc = oracle_curve(e, metric=metric).values
+        assert orc.tobytes() == _reference_curve(by_err, metric).tobytes(), metric

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angmf import PixelSelection, RngState, SelectionConfig, select_pixels
 from angmf.errors import DomainError, InsufficientPixels, ShapeError
@@ -139,3 +141,48 @@ def test_input_validation():
         select_pixels(np.zeros(5), np.ones(4, dtype=bool), SelectionConfig(), RngState(0))
     with pytest.raises(DomainError):
         select_pixels(np.array([1.0, np.inf]), np.ones(2, dtype=bool), SelectionConfig(), RngState(0))
+
+
+# ------------------------------------------------ bit equality with the reference
+
+
+def _reference_select(uncertainty, valid, config, rng):
+    """Stable argsort of -uncertainty plus a scalar next_below Fisher-Yates."""
+    unc = np.asarray(uncertainty, dtype=np.float64).ravel()
+    candidates = np.flatnonzero(np.asarray(valid, dtype=bool).ravel())
+    n_select = int(np.floor(config.r_s * candidates.size + 0.5))
+    n_importance = int(np.floor(config.beta_ug * n_select))
+    order = np.argsort(-unc[candidates], kind="stable")
+    importance = candidates[order[:n_importance]]
+    pool = np.sort(candidates[order[n_importance:]])
+    n_coverage = n_select - n_importance
+    for i in range(n_coverage):
+        j = i + rng.next_below(pool.size - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.sort(importance), np.sort(pool[:n_coverage])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.integers(1, 300),
+    p_valid=st.floats(0.0, 1.0),
+    r_s=st.floats(0.0, 1.0, exclude_min=True),
+    beta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    rng_seed=st.integers(0, 2**64 - 1),
+)
+def test_selection_bit_equal_reference(n, seed, levels, p_valid, r_s, beta, rng_seed):
+    gen = np.random.default_rng(seed)
+    unc = gen.choice(gen.uniform(0.0, 90.0, levels), size=n)  # few levels: many ties
+    valid = gen.uniform(size=n) < p_valid
+    unc[~valid] = np.nan
+    cfg = SelectionConfig(r_s=r_s, beta_ug=beta)
+    rng, ref_rng = RngState(rng_seed), RngState(rng_seed)
+    sel = select_pixels(unc, valid, cfg, rng)
+    importance, coverage = _reference_select(unc, valid, cfg, ref_rng)
+    assert sel.importance.dtype == importance.dtype
+    assert np.array_equal(sel.importance, importance)
+    assert sel.coverage.dtype == coverage.dtype
+    assert np.array_equal(sel.coverage, coverage)
+    assert rng.counter == ref_rng.counter

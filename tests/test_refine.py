@@ -286,6 +286,14 @@ def test_train_diverges_with_huge_rate():
             train(frames, TrainConfig(seed=0, epochs=2, learning_rate=1e300))
 
 
+def test_train_kappa_collapse_raises():
+    # the first step at this rate drives the kappa head's ELU input so far
+    # below zero that kappa underflows to exactly 0 everywhere (nll = log 2)
+    frames = [make_frame(8, 8, [EZ], RngState(3))]
+    with pytest.raises(NumericalError, match="kappa collapsed to 0 .* at epoch 1"):
+        train(frames, TrainConfig(seed=0, epochs=2, learning_rate=1e9))
+
+
 def test_train_empty_dataset():
     with pytest.raises(EmptyBatch):
         train([], TrainConfig())

@@ -159,6 +159,8 @@ def test_frame_validation():
         make_frame(0, 4, [EZ], RngState(0))
     with pytest.raises(DomainError):
         make_frame(2, 2, [EZ, EX, TILTED], RngState(0))  # 3 planes, width 2
+    with pytest.raises(DomainError, match="0 planes"):
+        make_frame(8, 4, [], RngState(0))
     with pytest.raises(DomainError):
         make_frame(8, 4, [EZ], RngState(0), contamination=0.7)
     with pytest.raises(DomainError):
