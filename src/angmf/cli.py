@@ -336,7 +336,7 @@ def build_parser():
     q = sub.add_parser("refine-demo", help="train the toy refinement MLP on synthetic frames")
     q.add_argument("--width", default=32, type=int)
     q.add_argument("--height", default=32, type=int)
-    q.add_argument("--planes", default=3, type=int)
+    q.add_argument("--planes", default=3, type=_positive_int)
     q.add_argument("--frames", default=6, type=int)
     q.add_argument("--separation-deg", default=60.0, type=float)
     q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)

@@ -14,6 +14,9 @@ values and AUSE is the AUSC of (estimated - oracle).
 
 Each curve takes one sort (a median curve two) and matches np.median /
 np.mean on every prefix bit for bit, via order statistics and counts.
+Only the uncertainty ranking needs a stable sort.  Sorts of the errors
+themselves use numpy's default kind: tied errors are equal values, so
+their order cannot change a curve value.
 """
 
 import math
@@ -115,7 +118,7 @@ def _prefix_medians(e, cuts, is_sorted):
     # mean sums from +0.0, so which of two tied signed zeros is taken never shows
     if is_sorted:
         return [np.mean(e[(k - 1) // 2:k // 2 + 1]) for k in cuts]
-    order = np.argsort(e, kind="stable")
+    order = np.argsort(e)
     rank = np.empty_like(order)
     rank[order] = np.arange(e.size)
     member = np.zeros(e.size, dtype=bool)  # the prefix, in rank space
@@ -159,6 +162,7 @@ def sparsification(errors_deg, uncertainties, metric="mean"):
         raise ShapeError(f"errors {e.shape} vs uncertainties {u.shape}")
     if not np.all(np.isfinite(u)):
         raise DomainError("uncertainties must be finite")
+    # stable: tied uncertainties keep index order, which decides the prefixes
     order = np.argsort(u, kind="stable")
     return _prefix_curve(e[order], metric)
 
@@ -166,7 +170,7 @@ def sparsification(errors_deg, uncertainties, metric="mean"):
 def oracle_curve(errors_deg, metric="mean"):
     """Best-case curve: pixels ranked by ascending true error."""
     e = _check_errors(errors_deg)
-    return _prefix_curve(np.sort(e, kind="stable"), metric, is_sorted=True)
+    return _prefix_curve(np.sort(e), metric, is_sorted=True)
 
 
 def ausc(curve):

@@ -11,8 +11,10 @@ differences in the test suite.
 Training follows the uncertainty-guided scheme: each step forwards a full
 frame, converts kappa to expected angular error, selects pixels via
 :func:`angmf.pixel_select.select_pixels`, and backpropagates the mean nll
-over the selected pixels only.  Updates are plain minibatch gradient
-descent.
+over the selected pixels only, slicing the selected rows out of that same
+full-frame forward.  Updates are plain minibatch gradient descent.  Each
+epoch ends with one more forward per frame, which gives the mean nll, the
+kappa collapse check and the error summary.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
@@ -106,7 +108,7 @@ def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
 
 
 def _forward_batch(mlp, x):
-    """Forward a (N, in_dim) batch; returns (mu, kappa, cache)."""
+    """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, pre, r)) for backprop."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[1]:
         raise ShapeError(f"expected (N, {mlp.weights[0].shape[1]}) features, got {x.shape}")
@@ -126,7 +128,7 @@ def _forward_batch(mlp, x):
         raise NormalizationError("direction head collapsed below 1e-12")
     mu = v / r[:, None]
     kappa = modified_elu(h[:, 3])
-    return mu, kappa, (acts, pre, v, r, mu, kappa)
+    return mu, kappa, (acts, pre, r)
 
 
 def forward(mlp, feature):
@@ -147,34 +149,30 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
     return dz
 
 
-def _backward_batch(mlp, x, n_gt):
-    """Gradients of the mean nll over a batch; returns (dWs, dbs)."""
-    x = np.asarray(x, dtype=np.float64)
+def _backward_batch(mlp, rows, fwd, n_gt):
+    """Mean-nll gradients (dWs, dbs) over ``rows`` of ``fwd = _forward_batch(mlp, x)``."""
+    mu, kappa, (acts, pre, r) = fwd
     n_gt = np.asarray(n_gt, dtype=np.float64)
-    if n_gt.shape != (x.shape[0], 3):
-        raise ShapeError(f"expected ({x.shape[0]}, 3) targets, got {n_gt.shape}")
-    if x.shape[0] == 0:
+    if n_gt.shape != (len(rows), 3):
+        raise ShapeError(f"expected ({len(rows)}, 3) targets, got {n_gt.shape}")
+    if len(rows) == 0:
         raise EmptyBatch("cannot backpropagate an empty batch")
-    _, _, (acts, pre, _, r, mu, kappa) = _forward_batch(mlp, x)
-    delta = _head_gradients(n_gt, r, mu, kappa, pre[-1][:, 3]) / x.shape[0]
+    delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], pre[-1][rows, 3]) / len(rows)
 
     d_ws = [None] * len(mlp.weights)
     d_bs = [None] * len(mlp.weights)
     for l in range(len(mlp.weights) - 1, -1, -1):
-        d_ws[l] = delta.T @ acts[l]
+        d_ws[l] = delta.T @ acts[l][rows]
         d_bs[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ mlp.weights[l]) * (pre[l - 1] > 0.0)
+            delta = (delta @ mlp.weights[l]) * (pre[l - 1][rows] > 0.0)
     return d_ws, d_bs
 
 
 def backward(mlp, feature, n_gt):
     """Single-pixel nll gradients in every weight and bias."""
-    return _backward_batch(
-        mlp,
-        np.asarray(feature, dtype=np.float64)[None, :],
-        np.asarray(n_gt, dtype=np.float64)[None, :],
-    )
+    fwd = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :])
+    return _backward_batch(mlp, [0], fwd, np.asarray(n_gt, dtype=np.float64)[None, :])
 
 
 @dataclass(frozen=True)
@@ -202,26 +200,26 @@ class EpochStats:
     report: MetricsReport
 
 
-def _frame_errors_deg(mlp, frame):
-    x = frame.features.reshape(-1, frame.features.shape[-1])
-    mu, kappa, _ = _forward_batch(mlp, x)
-    h, w = frame.gt.height, frame.gt.width
-    pred = NormalMap.from_vectors(mu.reshape(h, w, 3), valid=frame.gt.valid)
-    return angular_errors(pred, frame.gt), kappa
-
-
-def _mean_nll_all(mlp, frames):
-    total, count = 0.0, 0
+def _evaluate(mlp, frames, epoch):
+    """EpochStats from one forward per frame: mean nll over valid pixels, then errors."""
+    total, count, outs = 0.0, 0, []
     for frame in frames:
-        x = frame.features.reshape(-1, frame.features.shape[-1])
-        mu, kappa, _ = _forward_batch(mlp, x)
+        mu, kappa, _ = _forward_batch(mlp, frame.features.reshape(-1, frame.features.shape[-1]))
         gt = frame.gt.data.reshape(-1, 3).astype(np.float64)
         ok = frame.gt.valid.ravel()
         total += float(angmf_nll_rows(mu[ok], kappa[ok], gt[ok]).sum())
         count += int(ok.sum())
-    if count == 0:
-        raise EmptyBatch("no valid pixels across frames")
-    return total / count
+        outs.append((mu, kappa[ok]))
+    nll = total / count
+    # before from_vectors, which would reject a NaN mu as bad input, not divergence
+    if not math.isfinite(nll):
+        raise NumericalError(f"training diverged at epoch {epoch} (nll = {nll})")
+    if not any(np.any(kappa) for _, kappa in outs):
+        raise NumericalError(f"kappa collapsed to 0 at every valid pixel at epoch {epoch}")
+    preds = [NormalMap.from_vectors(mu.reshape(f.gt.data.shape), valid=f.gt.valid)
+             for f, (mu, _) in zip(frames, outs)]
+    errs = [valid_errors(angular_errors(pred, f.gt)) for pred, f in zip(preds, frames)]
+    return EpochStats(epoch=epoch, nll=nll, report=summarize(np.concatenate(errs)))
 
 
 def train(frames, config):
@@ -246,13 +244,14 @@ def train(frames, config):
             acc_w = [np.zeros_like(w) for w in mlp.weights]
             acc_b = [np.zeros_like(b) for b in mlp.biases]
             for frame in batch:
-                x = frame.features.reshape(-1, in_dim)
-                _, kappa, _ = _forward_batch(mlp, x)
+                fwd = _forward_batch(mlp, frame.features.reshape(-1, in_dim))
+                kappa = fwd[1]
+                if not np.all(np.isfinite(kappa)):
+                    raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
                 unc = expected_angular_error(kappa)
-                sel = select_pixels(unc, frame.gt.valid.ravel(), sel_cfg, rng)
-                idx = sel.all_indices
+                idx = select_pixels(unc, frame.gt.valid.ravel(), sel_cfg, rng).all_indices
                 gt = frame.gt.data.reshape(-1, 3).astype(np.float64)[idx]
-                d_ws, d_bs = _backward_batch(mlp, x[idx], gt)
+                d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt)
                 for l in range(len(acc_w)):
                     acc_w[l] += d_ws[l]
                     acc_b[l] += d_bs[l]
@@ -261,14 +260,7 @@ def train(frames, config):
                 mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
                 mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
 
-        nll = _mean_nll_all(mlp, frames)
-        if not math.isfinite(nll):
-            raise NumericalError(f"training diverged at epoch {epoch} (nll = {nll})")
-        evals = [_frame_errors_deg(mlp, f) for f in frames]
-        if not any(np.any(kappa[f.gt.valid.ravel()]) for f, (_, kappa) in zip(frames, evals)):
-            raise NumericalError(f"kappa collapsed to 0 at every valid pixel at epoch {epoch}")
-        errs = np.concatenate([valid_errors(err) for err, _ in evals])
-        stats.append(EpochStats(epoch=epoch, nll=nll, report=summarize(errs)))
+        stats.append(_evaluate(mlp, frames, epoch))
     return mlp, stats
 
 

@@ -348,11 +348,20 @@ def test_refine_demo_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["--planes", "0"], 2, "0 planes do not fit in width 8"),
-    (["--planes", "-2"], 2, "planes do not fit in width 8"),
+    (["--planes", "0"], 2, "planes: must be >= 1: '0'"),
+    (["--planes", "-2"], 2, "planes: must be >= 1: '-2'"),
     (["--lr", "1e9"], 4, "kappa collapsed to 0 at every valid pixel at epoch 1"),
+    (["--lr", "1e300"], 4, "training diverged at epoch 1"),
+    (["--width", "1", "--height", "1", "--planes", "1"], 2, "cannot backpropagate an empty batch"),
 ])
 def test_refine_demo_bad_planes_and_collapsed_kappa(argv, code, message, capsys):
     base = ["refine-demo", "--width", "8", "--height", "8", "--epochs", "2", "--seed", "0"]
-    assert main(base + argv) == code
+    if argv[0] == "--planes":  # argparse rejects the count itself
+        with pytest.raises(SystemExit) as ei:
+            main(base + argv)
+        got = ei.value.code
+    else:
+        with np.errstate(all="ignore"):
+            got = main(base + argv)
+    assert got == code
     assert message in capsys.readouterr().err

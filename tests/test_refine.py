@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from angmf import RngState, make_frame
+from angmf import RngState, make_frame, refine
 from angmf.distributions import angmf_nll, expected_angular_error
 from angmf.errors import (
     DomainError,
@@ -198,17 +198,33 @@ def test_backward_batch_is_mean_of_singles():
     gen = np.random.default_rng(9)
     x = gen.uniform(-1.0, 1.0, size=(5, 6))
     n_gt = random_unit(gen, 5)
-    batch = _flatten(_backward_batch(mlp, x, n_gt))
+    batch = _flatten(_backward_batch(mlp, np.arange(5), _forward_batch(mlp, x), n_gt))
     singles = np.mean([_flatten(backward(mlp, x[i], n_gt[i])) for i in range(5)], axis=0)
     assert np.allclose(batch, singles, atol=1e-14)
 
 
 def test_backward_validation():
     mlp = init_mlp(6, hidden_dims=(8,), rng=RngState(10))
+    # a non-zero input, so the zero-bias head does not collapse first
+    fwd = _forward_batch(mlp, np.ones((2, 6)))
     with pytest.raises(EmptyBatch):
-        _backward_batch(mlp, np.zeros((0, 6)), np.zeros((0, 3)))
+        _backward_batch(mlp, [], fwd, np.zeros((0, 3)))
     with pytest.raises(ShapeError):
-        _backward_batch(mlp, np.zeros((2, 6)), np.zeros((3, 3)))
+        _backward_batch(mlp, [0, 1], fwd, np.zeros((3, 3)))
+
+
+def test_backward_rows_of_full_forward_match_fresh_forward():
+    # training backprops a slice of the full-frame forward; a fresh forward of
+    # the same rows may differ only in GEMM rounding
+    mlp = init_mlp(6, rng=RngState(13))
+    gen = np.random.default_rng(14)
+    x = gen.uniform(-1.0, 1.0, size=(1024, 6))
+    for n in (1, 51, 300, 410):
+        rows = np.sort(gen.choice(1024, size=n, replace=False))
+        n_gt = random_unit(gen, n)
+        sliced = _flatten(_backward_batch(mlp, rows, _forward_batch(mlp, x), n_gt))
+        fresh = _flatten(_backward_batch(mlp, np.arange(n), _forward_batch(mlp, x[rows]), n_gt))
+        assert np.max(np.abs(sliced - fresh)) <= 1e-12
 
 
 # ------------------------------------------------------------------ train
@@ -292,6 +308,20 @@ def test_train_kappa_collapse_raises():
     frames = [make_frame(8, 8, [EZ], RngState(3))]
     with pytest.raises(NumericalError, match="kappa collapsed to 0 .* at epoch 1"):
         train(frames, TrainConfig(seed=0, epochs=2, learning_rate=1e9))
+
+
+def test_train_forwards_each_frame_twice_per_epoch(monkeypatch):
+    # one forward per training step, one per frame in the epoch-end evaluation
+    calls = []
+
+    def counting(mlp, x):
+        calls.append(len(x))
+        return _forward_batch(mlp, x)
+
+    monkeypatch.setattr(refine, "_forward_batch", counting)
+    frames = make_dataset(3)
+    train(frames, TrainConfig(seed=1, epochs=2, batch_size=2))
+    assert calls == [16 * 16] * (2 * 2 * 3)  # epochs * frames * 2, each a whole frame
 
 
 def test_train_empty_dataset():
