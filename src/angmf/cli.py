@@ -58,14 +58,24 @@ def _input_path(text):
     return text
 
 
-def _nonneg_float(text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(v) and v >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text!r}")
-    return v
+def _float_where(ok, requirement):
+    """An argparse type for finite floats that also satisfy ``ok``."""
+
+    def parse(text):
+        try:
+            v = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not (math.isfinite(v) and ok(v)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}: {text!r}")
+        return v
+
+    return parse
+
+
+_finite_float = _float_where(lambda v: True, "finite")
+_nonneg_float = _float_where(lambda v: v >= 0.0, "finite and >= 0")
+_positive_float = _float_where(lambda v: v > 0.0, "finite and > 0")
 
 
 def _positive_int(text):
@@ -141,30 +151,22 @@ def _cmd_fit(args):
         _dump_json({"estimator": "mean", "direction": [float(x) for x in d]}, args.out_json)
         return 0
     if args.estimator == "median":
-        d, rep = spherical_median(samples, tol=args.tol, full_output=True)
-        _dump_json(
-            {
-                "estimator": "median",
-                "direction": [float(x) for x in d],
-                "iterations": rep.iterations,
-                "converged": rep.converged,
-            },
-            args.out_json,
-        )
-        return 0 if rep.converged else EXIT_NUMERIC
-    fit = fit_angmf_mle(samples, tol=args.tol)
-    _dump_json(
-        {
+        d, report = spherical_median(samples, tol=args.tol, full_output=True)
+        payload = {"estimator": "median", "direction": [float(x) for x in d]}
+    else:
+        report = fit_angmf_mle(samples, tol=args.tol)
+        payload = {
             "estimator": "mle",
-            "direction": [float(x) for x in fit.params.mu],
-            "kappa": fit.params.kappa,
-            "nll": fit.final_nll,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        },
-        args.out_json,
-    )
-    return 0 if fit.converged else EXIT_NUMERIC
+            "direction": [float(x) for x in report.params.mu],
+            "kappa": report.params.kappa,
+            "nll": report.final_nll,
+        }
+    payload.update(iterations=report.iterations, converged=report.converged)
+    _dump_json(payload, args.out_json)
+    if not report.converged:
+        print(f"error: {args.estimator} did not converge after {report.iterations} iterations", file=sys.stderr)
+        return EXIT_NUMERIC
+    return 0
 
 
 def _degrees(x):
@@ -306,7 +308,7 @@ def build_parser():
     q = sub.add_parser("fit", help="fit a direction (and kappa for mle) to samples")
     q.add_argument("--samples-csv", required=True, type=_input_path)
     q.add_argument("--estimator", default="mle", choices=("mean", "median", "mle"))
-    q.add_argument("--tol", default=1e-8, type=float)
+    q.add_argument("--tol", default=1e-8, type=_positive_float)
     q.add_argument("--out-json", default=None)
     q.set_defaults(func=_cmd_fit)
 
@@ -324,7 +326,7 @@ def build_parser():
     q.set_defaults(func=_cmd_select_pixels)
 
     q = sub.add_parser("simulate-boundary", help="mean vs median on boundary mixtures")
-    q.add_argument("--separation-deg", default=60.0, type=float)
+    q.add_argument("--separation-deg", default=60.0, type=_finite_float)
     q.add_argument("--contamination", default=0.2, type=float)
     q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
     q.add_argument("--samples", default=1000, type=_positive_int)
@@ -338,7 +340,7 @@ def build_parser():
     q.add_argument("--height", default=32, type=int)
     q.add_argument("--planes", default=3, type=_positive_int)
     q.add_argument("--frames", default=6, type=int)
-    q.add_argument("--separation-deg", default=60.0, type=float)
+    q.add_argument("--separation-deg", default=60.0, type=_finite_float)
     q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
     q.add_argument("--contamination", default=0.2, type=float)
     q.add_argument("--epochs", default=12, type=int)

@@ -124,9 +124,15 @@ def _coth_minus_inv(k):
     return out
 
 
+def _exp_neg_pi_k(k):
+    """exp(-pi k); pi k may overflow to inf for huge k, which rightly gives 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-math.pi * k)
+
+
 def _exp_neg_pi_k_frac(k):
     """exp(-pi k) / (1 + exp(-pi k)); safe because the exponent is <= 0."""
-    z = np.exp(-math.pi * k)
+    z = _exp_neg_pi_k(k)
     return z / (1.0 + z)
 
 
@@ -242,7 +248,7 @@ def angmf_error_pdf(kappa, alpha):
     """
     k = _check_kappa(kappa)
     a = _check_alpha(alpha)
-    z = np.exp(-math.pi * k)
+    z = _exp_neg_pi_k(k)
     out = np.exp(-k * a) * np.sin(a) * (k * k + 1.0) / (1.0 + z)
     return out if out.ndim else float(out)
 
@@ -255,7 +261,7 @@ def angmf_error_cdf(kappa, alpha):
     """
     k = _check_kappa(kappa)
     a = _check_alpha(alpha)
-    z = np.exp(-math.pi * k)
+    z = _exp_neg_pi_k(k)
     out = (1.0 - np.exp(-k * a) * (np.cos(a) + k * np.sin(a))) / (1.0 + z)
     out = np.clip(out, 0.0, 1.0)
     return out if out.ndim else float(out)

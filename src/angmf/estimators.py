@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AngMFParams, GRAD_DOT_CLAMP, angmf_nll_at, expected_angular_error
+from .distributions import AngMFParams, angmf_nll_at, expected_angular_error
 from .errors import DegenerateResultant, EmptyBatch, ShapeError
-from .sphere import normalize, tangent_basis
+from .sphere import log_map, normalize, tangent_basis
 
 __all__ = [
     "mean_direction",
@@ -48,8 +48,11 @@ class SphericalMedianReport:
     grad_norm: float
 
 
-def _median_objective(s, mu):
-    return float(np.sum(np.arccos(np.clip(s @ mu, -1.0, 1.0))))
+def _start_direction(s):
+    try:
+        return mean_direction(s)
+    except DegenerateResultant:
+        return s[0].copy()
 
 
 def _tangent_newton_step(mu, u, cot, pull):
@@ -101,32 +104,30 @@ def spherical_median(samples, tol=1e-8, max_iter=10000, full_output=False):
     remaining pull has norm <= m - k, each coincident sample resisting any
     move at unit rate and each antipodal one aiding it.
 
+    Angles and tangents come from :func:`sphere.log_map`, whose absolute
+    error stays near float64 epsilon at small angles; with acos the
+    gradient test below would sit under the noise floor at high
+    concentration.
+
     Convergence means the summed tangent gradient has norm below ``tol``
     (or meets the subgradient bound at a sample point).  With
     ``full_output`` returns (direction, SphericalMedianReport).
     """
     s = _as_samples(samples)
-    try:
-        mu = mean_direction(s)
-    except DegenerateResultant:
-        mu = s[0].copy()
+    mu = _start_direction(s)
 
     n = s.shape[0]
     iterations = 0
     converged = False
     grad_norm = math.inf
-    f_mu = _median_objective(s, mu)
+    alpha, u = log_map(mu, s)
+    f_mu = float(np.sum(alpha))
     stalled = False
     for iterations in range(1, int(max_iter) + 1):
-        t = np.clip(s @ mu, -1.0, 1.0)
-        alpha = np.arccos(t)
         # samples (anti)coincident with the iterate have no usable tangent;
         # dropping them picks a valid subgradient
         far = (alpha > 1e-9) & (alpha < math.pi - 1e-9)
-        sin_a = np.sqrt(np.clip(1.0 - t[far] ** 2, 1e-30, None))
-        # unit tangents pointing from mu toward each sample
-        u = (s[far] - t[far, None] * mu) / sin_a[:, None]
-        g = u.sum(axis=0)
+        g = u[far].sum(axis=0)
         g = g - np.dot(g, mu) * mu
         grad_norm = float(np.linalg.norm(g))
 
@@ -146,10 +147,9 @@ def spherical_median(samples, tol=1e-8, max_iter=10000, full_output=False):
         if n_near:
             step = g / n
         else:
-            step = g / np.sum(1.0 / alpha[far])  # Weiszfeld step
+            step = g / np.sum(1.0 / alpha)  # Weiszfeld step
             if grad_norm < 1e-3 * n:
-                a = alpha[far]
-                newton = _tangent_newton_step(mu, u, np.cos(a) / np.sin(a), g)
+                newton = _tangent_newton_step(mu, u, np.cos(alpha) / np.sin(alpha), g)
                 if newton is not None:
                     step = newton
 
@@ -164,10 +164,11 @@ def spherical_median(samples, tol=1e-8, max_iter=10000, full_output=False):
                 break
             cand = math.cos(vn) * mu + math.sin(vn) * (v / vn)
             cand = normalize(cand)
-            f_cand = _median_objective(s, cand)
+            alpha_c, u_c = log_map(cand, s)
+            f_cand = float(np.sum(alpha_c))
             if f_cand <= f_mu + noise:
                 moved = float(np.linalg.norm(cand - mu))
-                mu, f_mu = cand, f_cand
+                mu, f_mu, alpha, u = cand, f_cand, alpha_c, u_c
                 accepted = True
                 break
             lam *= 0.5
@@ -194,116 +195,63 @@ class FitReport:
 KAPPA_CEILING = 1e6
 
 
-def _softplus(rho):
-    return float(np.logaddexp(0.0, rho))
+def _kappa_root(mean_alpha):
+    """Bisect E[alpha](kappa) = mean_alpha on [0, KAPPA_CEILING] to float resolution.
 
-
-def _mean_nll(s, mu, kappa):
-    alpha = np.arccos(np.clip(s @ mu, -1.0, 1.0))
-    return angmf_nll_at(kappa, float(np.mean(alpha)))
+    E[alpha] falls monotonically from pi/2 at kappa = 0 toward 0.  Returns
+    (kappa, steps, residual) with residual = E[alpha](kappa) - mean_alpha,
+    the endpoint of the final bracket with the smaller |residual|.
+    """
+    lo, hi = 0.0, KAPPA_CEILING
+    r_lo = expected_angular_error(lo) - mean_alpha
+    r_hi = expected_angular_error(hi) - mean_alpha
+    if r_lo <= 0.0:
+        return lo, 0, r_lo  # the optimum sits on the kappa = 0 boundary
+    if r_hi >= 0.0:
+        return hi, 0, r_hi  # the root lies beyond the ceiling
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        r_mid = expected_angular_error(mid) - mean_alpha
+        steps += 1
+        if r_mid >= 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    return (lo, steps, r_lo) if r_lo <= -r_hi else (hi, steps, r_hi)
 
 
 def fit_angmf_mle(samples, tol=1e-8, max_iter=10000):
-    """Maximum-likelihood AngMF fit by joint descent on mean nll.
+    """Maximum-likelihood AngMF fit: the geodesic median, then one kappa root.
 
-    mu moves by tangent-space gradient steps with renormalization as the
-    retraction; kappa is optimized through a softplus reparameterization
-    so it stays positive.  Steps are scaled by cheap curvature estimates
-    (the analytic d2/dkappa2 and a cot-alpha bound for mu) and accepted
-    through a backtracking line search, so the nll never increases
-    between accepted iterates.
+    The mean nll ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa
+    mean(alpha)`` is linear in the angles, so for every kappa > 0 the best
+    mu is the geodesic median (:func:`spherical_median`, run with ``tol``
+    and ``max_iter``).  At the median, d nll / d kappa = mean(alpha) -
+    E[alpha](kappa), so kappa is the root of E[alpha](kappa) = mean(alpha),
+    found by bisection.  mean(alpha) >= pi/2 puts the optimum on the
+    boundary kappa = 0, which counts as converged.  A root beyond 1e6 (all
+    samples collapsing onto mu) returns kappa = 1e6 with converged = False.
 
-    Converged means the tangent gradient norm and |d nll / d kappa| are
-    both below ``tol``.  When the optimum sits on the kappa -> 0 boundary
-    the kappa derivative cannot vanish, so the gradient in the actual
-    optimization variable rho (which does go to zero as softplus flattens)
-    is tested instead.  kappa crossing 1e6 stops the fit with
-    converged = False.  Starting point: mean_direction and kappa = 1.
+    Converged otherwise means the median converged and
+    |mean(alpha) - E[alpha](kappa)| < ``tol``.  ``iterations`` counts the
+    median's iterations plus the bisection steps.  ``nll_history`` holds
+    the nll at (mean direction, kappa = 1), at (median, kappa = 1) and at
+    the fit.
     """
     s = _as_samples(samples)
-    try:
-        mu = mean_direction(s)
-    except DegenerateResultant:
-        mu = s[0].copy()
-    rho = math.log(math.e - 1.0)  # softplus(rho) == 1
-    kappa = _softplus(rho)
-
-    f = _mean_nll(s, mu, kappa)
-    history = [f]
-    n = s.shape[0]
-    converged = False
-    iterations = 0
-    stalled = False
-    for iterations in range(1, int(max_iter) + 1):
-        if kappa > KAPPA_CEILING:
-            converged = False
-            break
-        t_raw = s @ mu
-        t = np.clip(t_raw, -1.0, 1.0)
-        alpha = np.arccos(t)
-        mean_alpha = float(np.mean(alpha))
-
-        g_kappa = mean_alpha - float(expected_angular_error(kappa))
-        sig = 1.0 / (1.0 + math.exp(-rho))
-        g_rho = g_kappa * sig
-
-        tg = np.clip(t_raw, -GRAD_DOT_CLAMP, GRAD_DOT_CLAMP)
-        sin_a = np.sqrt(1.0 - tg * tg)
-        u = (s - tg[:, None] * mu) / sin_a[:, None]
-        g_mu = (-kappa / n) * u.sum(axis=0)
-        g_mu = g_mu - np.dot(g_mu, mu) * mu
-        g_mu_norm = float(np.linalg.norm(g_mu))
-
-        kappa_ok = abs(g_kappa) < tol or (g_kappa > 0.0 and abs(g_rho) < tol)
-        if g_mu_norm < tol and kappa_ok:
-            converged = True
-            break
-        if stalled:
-            break  # no acceptable move left; gradient rechecked above
-
-        # curvature estimates; the line search mops up any slack
-        z = math.exp(-math.pi * kappa)
-        neg_e_prime = math.pi * math.pi * z / (1.0 + z) ** 2 - 2.0 * (1.0 - kappa * kappa) / (1.0 + kappa * kappa) ** 2
-        h_rho = max(neg_e_prime, 1e-12) * sig * sig + 1e-18
-        cot = tg / sin_a
-        h_mu = max(kappa * float(np.mean(np.clip(cot, 0.0, 1e8))), kappa * 1e-3, 1e-12)
-
-        step_mu = -g_mu / h_mu
-        if g_mu_norm < 0.1 * max(kappa, 1e-3):
-            # endgame polish: exact tangent Hessian is (kappa/n) sum of
-            # cot(alpha_j) (I - u u^T); the scalar bound above contracts
-            # too slowly once nll decreases round to ties
-            newton = _tangent_newton_step(mu, u, cot, -g_mu * (n / max(kappa, 1e-300)))
-            if newton is not None:
-                step_mu = newton
-        step_rho = -g_rho / h_rho
-        lam = 1.0
-        accepted = False
-        moved = 0.0
-        # ties allowed: near the optimum true decreases round to equality,
-        # and the preconditioned step still shrinks the gradient
-        while lam > 1e-15:
-            cand_mu = normalize(mu + lam * step_mu)
-            cand_rho = rho + lam * step_rho
-            cand_kappa = _softplus(cand_rho)
-            f_cand = _mean_nll(s, cand_mu, cand_kappa)
-            if f_cand <= f:
-                moved = float(np.linalg.norm(cand_mu - mu)) + abs(cand_kappa - kappa)
-                mu, rho, kappa, f = cand_mu, cand_rho, cand_kappa, f_cand
-                history.append(f)
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break  # every direction increases the nll at float resolution
-        if moved < 1e-15:
-            stalled = True
-
-    params = AngMFParams(mu=mu, kappa=min(kappa, KAPPA_CEILING))
+    start_alpha = float(np.mean(log_map(_start_direction(s), s)[0]))
+    mu, med = spherical_median(s, tol=tol, max_iter=max_iter, full_output=True)
+    mean_alpha = float(np.mean(log_map(mu, s)[0]))
+    kappa, steps, residual = _kappa_root(mean_alpha)
+    converged = med.converged and (kappa == 0.0 or (kappa < KAPPA_CEILING and abs(residual) < tol))
+    f = angmf_nll_at(kappa, mean_alpha)
     return FitReport(
-        params=params,
+        params=AngMFParams(mu=mu, kappa=kappa),
         final_nll=f,
-        iterations=iterations,
+        iterations=med.iterations + steps,
         converged=converged,
-        nll_history=np.asarray(history),
+        nll_history=np.array([angmf_nll_at(1.0, start_alpha), angmf_nll_at(1.0, mean_alpha), f]),
     )

@@ -18,7 +18,6 @@ so the CLI stays a thin argument-parsing shell.
 
 import csv
 import itertools
-import json
 import math
 import struct
 
@@ -34,7 +33,6 @@ __all__ = [
     "write_normal_map",
     "read_kappa_map",
     "write_kappa_map",
-    "write_metrics_json",
     "write_curve_csv",
     "write_vectors_csv",
     "read_vectors_csv",
@@ -178,12 +176,6 @@ def read_kappa_map(path):
 
 def _fmt(x):
     return repr(float(x))
-
-
-def write_metrics_json(report, path):
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_curve_csv(curve, path):

@@ -238,29 +238,32 @@ def train(frames, config):
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
 
     stats = []
-    for epoch in range(1, config.epochs + 1):
-        for start in range(0, len(frames), config.batch_size):
-            batch = frames[start:start + config.batch_size]
-            acc_w = [np.zeros_like(w) for w in mlp.weights]
-            acc_b = [np.zeros_like(b) for b in mlp.biases]
-            for frame in batch:
-                fwd = _forward_batch(mlp, frame.features.reshape(-1, in_dim))
-                kappa = fwd[1]
-                if not np.all(np.isfinite(kappa)):
-                    raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
-                unc = expected_angular_error(kappa)
-                idx = select_pixels(unc, frame.gt.valid.ravel(), sel_cfg, rng).all_indices
-                gt = frame.gt.data.reshape(-1, 3).astype(np.float64)[idx]
-                d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt)
+    # a diverging run overflows in its matmuls and updates; the non-finite
+    # kappa and nll checks report that, so numpy's warnings only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            for start in range(0, len(frames), config.batch_size):
+                batch = frames[start:start + config.batch_size]
+                acc_w = [np.zeros_like(w) for w in mlp.weights]
+                acc_b = [np.zeros_like(b) for b in mlp.biases]
+                for frame in batch:
+                    fwd = _forward_batch(mlp, frame.features.reshape(-1, in_dim))
+                    kappa = fwd[1]
+                    if not np.all(np.isfinite(kappa)):
+                        raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
+                    unc = expected_angular_error(kappa)
+                    idx = select_pixels(unc, frame.gt.valid.ravel(), sel_cfg, rng).all_indices
+                    gt = frame.gt.data.reshape(-1, 3).astype(np.float64)[idx]
+                    d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt)
+                    for l in range(len(acc_w)):
+                        acc_w[l] += d_ws[l]
+                        acc_b[l] += d_bs[l]
+                scale = config.learning_rate / len(batch)
                 for l in range(len(acc_w)):
-                    acc_w[l] += d_ws[l]
-                    acc_b[l] += d_bs[l]
-            scale = config.learning_rate / len(batch)
-            for l in range(len(acc_w)):
-                mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
-                mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
+                    mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
+                    mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
 
-        stats.append(_evaluate(mlp, frames, epoch))
+            stats.append(_evaluate(mlp, frames, epoch))
     return mlp, stats
 
 

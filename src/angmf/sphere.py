@@ -58,6 +58,26 @@ def angle_between(u, v):
     return np.arccos(d)
 
 
+def log_map(mu, s):
+    """Geodesic angles and unit tangents from unit ``mu`` toward unit rows ``s``.
+
+    Returns ``(alpha, u)`` with ``t = s . mu``, ``perp = s - t mu``,
+    ``alpha = atan2(|perp|, t)`` and ``u = perp / |perp|``.  ``acos(t)``
+    and ``sqrt(1 - t^2)`` lose half their digits at small angles; here the
+    absolute error stays near float64 epsilon, so even a 1e-9 angle keeps
+    six or more digits.
+    ``perp`` is formed as one (N, 3) x (3, 3) product with the tangent
+    projector ``I - mu mu^T``.  Rows at or opposite mu have no tangent
+    direction: their u is meaningless and callers must mask them.
+    """
+    t = s @ mu
+    perp = s @ (np.eye(3) - np.outer(mu, mu))
+    sin_a = np.sqrt(np.einsum("ij,ij->i", perp, perp))
+    # the floor only keeps 0/0 out of those rows
+    u = perp / np.maximum(sin_a, np.finfo(np.float64).tiny)[:, None]
+    return np.arctan2(sin_a, t), u
+
+
 def tangent_basis(mu):
     """Deterministic orthonormal basis (e1, e2) of the tangent plane at mu.
 

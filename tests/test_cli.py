@@ -234,8 +234,30 @@ def test_fit_mle_identical_samples_not_converged(tmp_path, capsys):
     path = str(tmp_path / "same.csv")
     mapio.write_vectors_csv(np.tile([0.0, 0.0, 1.0], (5, 1)), path)
     assert main(["fit", "--samples-csv", path, "--estimator", "mle"]) == 4
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
     assert payload["converged"] is False
+    assert out.err == f"error: mle did not converge after {payload['iterations']} iterations\n"
+
+
+def test_fit_median_unreachable_tol_says_so(tmp_path, capsys):
+    path = sample_csv(tmp_path, "k5.csv", "0,0,1", 5, 200, 3)
+    capsys.readouterr()
+    assert main(["fit", "--samples-csv", path, "--estimator", "median", "--tol", "1e-300"]) == 4
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
+    assert payload["converged"] is False
+    assert out.err == f"error: median did not converge after {payload['iterations']} iterations\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_fit_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    path = str(tmp_path / "same.csv")
+    mapio.write_vectors_csv(np.tile([0.0, 0.0, 1.0], (5, 1)), path)
+    with pytest.raises(SystemExit) as ei:
+        main(["fit", "--samples-csv", path, "--tol", tol])
+    assert ei.value.code == 2
+    assert f"tol: must be finite and > 0: '{tol}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["nan", "inf"])
@@ -320,6 +342,15 @@ def test_simulate_boundary_rejects_non_positive_counts(argv, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate-boundary", "refine-demo"])
+def test_separation_deg_must_be_finite(command, value, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main([command, "--seed", "1", "--separation-deg", value])
+    assert ei.value.code == 2
+    assert f"separation-deg: must be finite: '{value}'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- refine-demo
 
 
@@ -365,3 +396,18 @@ def test_refine_demo_bad_planes_and_collapsed_kappa(argv, code, message, capsys)
             got = main(base + argv)
     assert got == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["refine-demo", "--width", "8", "--height", "8", "--epochs", "2", "--seed", "0", "--lr", "1e300"], 4),
+    (["sample", "--mu", "0,0,1", "--kappa", "1e308", "--n", "10", "--seed", "1"], 0),
+], ids=["refine-demo-lr-1e300", "sample-kappa-1e308"])
+def test_overflowing_runs_raise_no_numpy_warnings(tmp_path, argv, code):
+    # the exit code and the error line report these runs; a raw numpy
+    # RuntimeWarning on stderr would only repeat it
+    if argv[0] == "sample":
+        argv = argv + ["--out-csv", str(tmp_path / "s.csv")]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [str(w.message) for w in record] == []

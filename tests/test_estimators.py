@@ -255,6 +255,47 @@ def test_mle_report_fields():
     assert rep.nll_history[0] >= rep.final_nll
 
 
+def test_mle_direction_is_the_median():
+    # the nll is linear in the angles, so no descent may move mu off the
+    # median; AngMFParams passes every mu through as_unit, hence the wrap
+    for kappa, seed in ((0.7, 31), (6.0, 32), (300.0, 33)):
+        s = normalize(sample_angmf(AngMFParams(EX, kappa), 2000, RngState(seed)))
+        rep = fit_angmf_mle(s)
+        med, med_rep = spherical_median(s, full_output=True)
+        assert np.array_equal(rep.params.mu, AngMFParams(med, 0.0).mu)
+        assert rep.iterations > med_rep.iterations
+
+
+def test_mle_octahedron_sits_on_kappa_zero_boundary():
+    # mean angle exactly pi/2 at the median: the nll is flat in mu and
+    # increasing in kappa, so kappa = 0 exactly and no root is bisected
+    s = np.vstack([np.eye(3), -np.eye(3)])
+    rep = fit_angmf_mle(s)
+    _, med_rep = spherical_median(s, full_output=True)
+    assert rep.converged
+    assert rep.params.kappa == 0.0
+    assert rep.iterations == med_rep.iterations
+    assert rep.final_nll == math.log(2.0)
+
+
+def test_median_and_mle_converge_on_seeded_sweep():
+    # 60 draws, kappa log-uniform in [0.5, 1e3], normalized as the CLI does;
+    # acos-based angles lose half their digits at high kappa and stalled
+    # a third of these medians above tol
+    gen = np.random.default_rng(2021)
+    failures = []
+    for i in range(60):
+        kappa = float(np.exp(gen.uniform(math.log(0.5), math.log(1e3))))
+        n = (1000, 10000, 100000)[i % 3]
+        mu = normalize(gen.standard_normal(3))
+        s = normalize(sample_angmf(AngMFParams(mu, kappa), n, RngState(i + 1)))
+        med, med_rep = spherical_median(s, full_output=True)
+        rep = fit_angmf_mle(s)
+        if not (med_rep.converged and rep.converged and np.all(np.diff(rep.nll_history) <= 0.0)):
+            failures.append((i, kappa, n, med_rep.iterations, rep.iterations))
+    assert failures == []
+
+
 def test_mle_validation():
     with pytest.raises(EmptyBatch):
         fit_angmf_mle(np.zeros((0, 3)))

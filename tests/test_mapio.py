@@ -19,11 +19,11 @@ from angmf.errors import DomainError, FormatError, ShapeError
 from angmf.mapio import (
     read_vectors_csv,
     write_curve_csv,
-    write_metrics_json,
     write_selection_csv,
     write_vectors_csv,
 )
-from angmf.metrics import oracle_curve, summarize
+from angmf.cli import main
+from angmf.metrics import angular_errors, oracle_curve, summarize, valid_errors
 from angmf.pixel_select import PixelSelection
 
 from conftest import random_unit
@@ -264,14 +264,20 @@ def test_vectors_csv_empty(tmp_path):
 
 
 def test_metrics_json_layout(tmp_path):
-    r = summarize([10.0, 20.0, 30.0, 40.0])
-    path = tmp_path / "m.json"
-    write_metrics_json(r, path)
+    # metrics JSON is written by the CLI; 30 deg is nudged up so float32
+    # storage cannot flip it across the strict pct_30 threshold
+    tilts = np.radians([10.0, 20.0, 30.0001, 40.0])
+    pred = np.stack([np.sin(tilts), np.zeros(4), np.cos(tilts)], axis=-1).reshape(2, 2, 3)
+    p_pred, p_gt, path = tmp_path / "p.snmp", tmp_path / "g.snmp", tmp_path / "m.json"
+    write_normal_map(NormalMap.from_vectors(pred), p_pred)
+    write_normal_map(NormalMap.from_vectors(np.tile(EZ, (2, 2, 1))), p_gt)
+    assert main(["eval", "--pred", str(p_pred), "--gt", str(p_gt), "--out-json", str(path)]) == 0
     text = path.read_text()
     assert text.endswith("\n")
     d = json.loads(text)
-    assert d["mean"] == 25.0
+    assert d["mean"] == pytest.approx(25.0, abs=1e-3)
     assert d["pct_30"] == 50.0
+    assert d == summarize(valid_errors(angular_errors(read_normal_map(p_pred), read_normal_map(p_gt)))).to_json_dict()
     assert list(d) == sorted(d)
 
 

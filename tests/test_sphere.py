@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from angmf.errors import DegenerateVector
-from angmf.sphere import angle_between, as_unit, normalize, tangent_basis
+from angmf.sphere import angle_between, as_unit, log_map, normalize, tangent_basis
 
 from conftest import random_rotation, random_unit
 
@@ -125,3 +125,35 @@ def test_tangent_basis_batched():
         s1, s2 = tangent_basis(mu[i])
         assert np.array_equal(e1[i], s1)
         assert np.array_equal(e2[i], s2)
+
+
+def test_log_map_keeps_tiny_angles():
+    # acos(t) and sqrt(1 - t^2) keep only about 8 digits of a 1e-9 angle;
+    # the reference is atan2(|s x mu|, s . mu) in long double on the same
+    # float64 inputs
+    gen = np.random.default_rng(17)
+    alpha = 1e-9
+    for _ in range(20):
+        rot = random_rotation(gen)
+        mu = rot[:, 2]
+        s = rot @ np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+        got, u = log_map(mu, s[None, :])
+        mu_l, s_l = mu.astype(np.longdouble), s.astype(np.longdouble)
+        ref = float(np.arctan2(np.linalg.norm(np.cross(s_l, mu_l)), np.dot(s_l, mu_l)))
+        assert abs(got[0] - ref) <= 1e-6 * ref
+        assert abs(float(np.arccos(np.clip(s @ mu, -1.0, 1.0))) - ref) > 1e-6 * ref
+        assert np.allclose(u[0], rot[:, 0], rtol=0.0, atol=1e-6)
+
+
+def test_log_map_angles_and_tangents():
+    gen = np.random.default_rng(19)
+    mu = random_unit(gen)
+    s = np.vstack([random_unit(gen, 50), mu, -mu])
+    alpha, u = log_map(mu, s)
+    assert np.allclose(alpha[:50], angle_between(s[:50], mu), rtol=0.0, atol=1e-7)
+    assert alpha[50] < 1e-15 and math.pi - alpha[51] < 1e-15
+    assert np.allclose(u[:50] @ mu, 0.0, atol=1e-14)
+    assert np.allclose(np.linalg.norm(u[:50], axis=1), 1.0, atol=1e-15)
+    # exp map back: cos(alpha) mu + sin(alpha) u reproduces each sample
+    back = np.cos(alpha[:50, None]) * mu + np.sin(alpha[:50, None]) * u[:50]
+    assert np.allclose(back, s[:50], rtol=0.0, atol=1e-15)
