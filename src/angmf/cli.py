@@ -175,12 +175,12 @@ def _degrees(x):
 
 
 def _cmd_expected_error(args):
-    values = {str(k): _degrees(expected_angular_error(k)) for k in args.kappa}
+    values = [_degrees(expected_angular_error(k)) for k in args.kappa]
     if args.out_json is not None:
-        _dump_json(values, args.out_json)
+        _dump_json(dict(zip(map(str, args.kappa), values)), args.out_json)
     else:
-        for k in args.kappa:
-            print(_degrees(expected_angular_error(k)))
+        for v in values:
+            print(v)
     return 0
 
 

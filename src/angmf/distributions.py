@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .sphere import as_unit
+from .sphere import angle_between, as_unit
 
 __all__ = [
     "VonMFParams",
@@ -49,6 +49,7 @@ __all__ = [
 
 # Gradient-path clamp for the dot product; acos is singular at +/-1.
 GRAD_DOT_CLAMP = 1.0 - 1e-7
+_K2_FINITE = math.sqrt(np.finfo(np.float64).max)  # the largest kappa whose square is finite
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,6 @@ def _exp_neg_pi_k(k):
         return np.exp(-math.pi * k)
 
 
-def _exp_neg_pi_k_frac(k):
-    """exp(-pi k) / (1 + exp(-pi k)); safe because the exponent is <= 0."""
-    z = _exp_neg_pi_k(k)
-    return z / (1.0 + z)
-
-
 def vonmf_pdf(params, n):
     """von Mises-Fisher density at direction ``n``."""
     t = _dot(params.mu, n)
@@ -178,25 +173,22 @@ def angmf_pdf(params, n):
 
 
 def angmf_nll(params, n_gt):
-    """Negative log likelihood of ``n_gt`` under AngMF, without the log(2 pi) constant.
-
-    Equals ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa * acos(mu . n_gt)``.
-    """
-    return angmf_nll_at(params.kappa, math.acos(_dot(params.mu, n_gt)))
+    """Negative log likelihood of ``n_gt`` under AngMF, without the log(2 pi) constant."""
+    return float(angmf_nll_at(params.kappa, math.acos(_dot(params.mu, n_gt))))
 
 
-# The nll is written twice on purpose, scalar (libm) and per row (numpy):
-# numpy's SIMD exp, log1p and arccos can differ from math.* in the last
-# bit, and each caller's output bits are part of the determinism contract.
 def angmf_nll_at(kappa, alpha):
-    """AngMF nll at error angle ``alpha``; linear in alpha, so a mean nll is its value at the mean angle."""
-    return -math.log1p(kappa * kappa) + math.log1p(math.exp(-kappa * math.pi)) + kappa * alpha
+    """AngMF nll ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa alpha`` at error angle ``alpha``.
+
+    Linear in alpha, so a mean nll is its value at the mean angle.
+    Broadcasts over array arguments.
+    """
+    return -np.log1p(kappa * kappa) + np.log1p(_exp_neg_pi_k(kappa)) + kappa * alpha
 
 
 def angmf_nll_rows(mu, kappa, n_gt):
     """Per-row AngMF nll for (N, 3) ``mu`` and ``n_gt`` and (N,) ``kappa``."""
-    t = np.clip(np.sum(mu * n_gt, axis=1), -1.0, 1.0)
-    return -np.log1p(kappa * kappa) + np.log1p(np.exp(-math.pi * kappa)) + kappa * np.arccos(t)
+    return angmf_nll_at(kappa, angle_between(mu, n_gt))
 
 
 def angmf_grad_rows(mu, kappa, n_gt):
@@ -249,7 +241,10 @@ def angmf_error_pdf(kappa, alpha):
     k = _check_kappa(kappa)
     a = _check_alpha(alpha)
     z = _exp_neg_pi_k(k)
-    out = np.exp(-k * a) * np.sin(a) * (k * k + 1.0) / (1.0 + z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, s = np.exp(-k * a), np.sin(a)
+        # (k s)(k e) is the same finite product where k^2 overflows
+        out = np.where(k > _K2_FINITE, (k * s) * (k * e), e * s * (k * k + 1.0)) / (1.0 + z)
     return out if out.ndim else float(out)
 
 
@@ -262,8 +257,12 @@ def angmf_error_cdf(kappa, alpha):
     k = _check_kappa(kappa)
     a = _check_alpha(alpha)
     z = _exp_neg_pi_k(k)
-    out = (1.0 - np.exp(-k * a) * (np.cos(a) + k * np.sin(a))) / (1.0 + z)
+    with np.errstate(over="ignore"):  # k alpha overflows only where exp(-k alpha) is 0
+        out = (1.0 - np.exp(-k * a) * (np.cos(a) + k * np.sin(a))) / (1.0 + z)
     out = np.clip(out, 0.0, 1.0)
+    at_pi = a == math.pi
+    if np.any(at_pi):  # sin(pi) is 1.2e-16 in floats, which can leave the value an ulp short of 1
+        out = np.where(at_pi, 1.0, out)
     return out if out.ndim else float(out)
 
 
@@ -276,5 +275,10 @@ def expected_angular_error(kappa):
     measure.  Broadcasts over array arguments.
     """
     k = _check_kappa(kappa)
-    out = 2.0 * k / (k * k + 1.0) + math.pi * _exp_neg_pi_k_frac(k)
+    z = _exp_neg_pi_k(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 2.0 * k / (k * k + 1.0) + math.pi * (z / (1.0 + z))
+    big = k > _K2_FINITE
+    if np.any(big):  # k^2 overflows there, where 2 k / (k^2 + 1) is 2 / k
+        out = np.where(big, 2.0 / np.maximum(k, 1.0), out)
     return out if out.ndim else float(out)

@@ -17,6 +17,9 @@ __all__ = [
     "FitReport",
 ]
 
+MAX_ITER = 10000  # iteration cap of spherical_median
+KAPPA_CEILING = 1e6  # kappa above this is treated as divergence (all samples collapsing onto mu)
+
 
 def _as_samples(samples):
     s = np.asarray(samples, dtype=np.float64)
@@ -84,7 +87,7 @@ def _tangent_newton_step(mu, u, cot, pull):
     return step
 
 
-def spherical_median(samples, tol=1e-8, max_iter=10000, full_output=False):
+def spherical_median(samples, tol=1e-8, full_output=False):
     """Geodesic median: the direction minimizing the summed angles to the samples.
 
     Runs Weiszfeld-style reweighted updates on the sphere (the classic
@@ -123,7 +126,7 @@ def spherical_median(samples, tol=1e-8, max_iter=10000, full_output=False):
     alpha, u = log_map(mu, s)
     f_mu = float(np.sum(alpha))
     stalled = False
-    for iterations in range(1, int(max_iter) + 1):
+    for iterations in range(1, MAX_ITER + 1):
         # samples (anti)coincident with the iterate have no usable tangent;
         # dropping them picks a valid subgradient
         far = (alpha > 1e-9) & (alpha < math.pi - 1e-9)
@@ -191,10 +194,6 @@ class FitReport:
     nll_history: np.ndarray
 
 
-# kappa above this is treated as divergence (all samples collapsing onto mu)
-KAPPA_CEILING = 1e6
-
-
 def _kappa_root(mean_alpha):
     """Bisect E[alpha](kappa) = mean_alpha on [0, KAPPA_CEILING] to float resolution.
 
@@ -223,17 +222,17 @@ def _kappa_root(mean_alpha):
     return (lo, steps, r_lo) if r_lo <= -r_hi else (hi, steps, r_hi)
 
 
-def fit_angmf_mle(samples, tol=1e-8, max_iter=10000):
+def fit_angmf_mle(samples, tol=1e-8):
     """Maximum-likelihood AngMF fit: the geodesic median, then one kappa root.
 
     The mean nll ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa
     mean(alpha)`` is linear in the angles, so for every kappa > 0 the best
-    mu is the geodesic median (:func:`spherical_median`, run with ``tol``
-    and ``max_iter``).  At the median, d nll / d kappa = mean(alpha) -
-    E[alpha](kappa), so kappa is the root of E[alpha](kappa) = mean(alpha),
-    found by bisection.  mean(alpha) >= pi/2 puts the optimum on the
-    boundary kappa = 0, which counts as converged.  A root beyond 1e6 (all
-    samples collapsing onto mu) returns kappa = 1e6 with converged = False.
+    mu is the geodesic median (:func:`spherical_median`, run with ``tol``).
+    At the median, d nll / d kappa = mean(alpha) - E[alpha](kappa), so
+    kappa is the root of E[alpha](kappa) = mean(alpha), found by bisection.
+    mean(alpha) >= pi/2 puts the optimum on the boundary kappa = 0, which
+    counts as converged.  A root beyond 1e6 (all samples collapsing onto
+    mu) returns kappa = 1e6 with converged = False.
 
     Converged otherwise means the median converged and
     |mean(alpha) - E[alpha](kappa)| < ``tol``.  ``iterations`` counts the
@@ -243,11 +242,11 @@ def fit_angmf_mle(samples, tol=1e-8, max_iter=10000):
     """
     s = _as_samples(samples)
     start_alpha = float(np.mean(log_map(_start_direction(s), s)[0]))
-    mu, med = spherical_median(s, tol=tol, max_iter=max_iter, full_output=True)
+    mu, med = spherical_median(s, tol=tol, full_output=True)
     mean_alpha = float(np.mean(log_map(mu, s)[0]))
     kappa, steps, residual = _kappa_root(mean_alpha)
     converged = med.converged and (kappa == 0.0 or (kappa < KAPPA_CEILING and abs(residual) < tol))
-    f = angmf_nll_at(kappa, mean_alpha)
+    f = float(angmf_nll_at(kappa, mean_alpha))
     return FitReport(
         params=AngMFParams(mu=mu, kappa=kappa),
         final_nll=f,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyInput, ShapeError
+from .sphere import angle_between
 
 __all__ = [
     "THRESHOLDS_DEG",
@@ -66,10 +67,7 @@ def angular_errors(pred, gt):
     """
     if pred.data.shape != gt.data.shape:
         raise ShapeError(f"map shapes differ: {pred.data.shape} vs {gt.data.shape}")
-    a = pred.data.astype(np.float64)
-    b = gt.data.astype(np.float64)
-    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    err = np.degrees(np.arccos(dot))
+    err = np.degrees(angle_between(pred.data, gt.data))
     err[~(pred.valid & gt.valid)] = np.nan
     return err
 

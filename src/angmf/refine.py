@@ -44,10 +44,10 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .mapio import NormalMap
-from .metrics import MetricsReport, angular_errors, summarize, valid_errors
+from .metrics import MetricsReport, summarize
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
+from .sphere import angle_between, normalize
 
 __all__ = [
     "RefineMLP",
@@ -108,27 +108,24 @@ def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
 
 
 def _forward_batch(mlp, x):
-    """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, pre, r)) for backprop."""
+    """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, z, r)): layer inputs, raw head output, |v|."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[1]:
         raise ShapeError(f"expected (N, {mlp.weights[0].shape[1]}) features, got {x.shape}")
     acts = [x]
-    h = x
     last = len(mlp.weights) - 1
-    pre = []
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        h = z if l == last else np.maximum(z, 0.0)
-        if l != last:
-            acts.append(h)
-    v = h[:, :3]
+        z = acts[l] @ w.T
+        z += b
+        if l < last:
+            acts.append(np.maximum(z, 0.0, out=z))
+    v = z[:, :3]
     r = np.linalg.norm(v, axis=1)
     if np.any(r < 1e-12):
         raise NormalizationError("direction head collapsed below 1e-12")
     mu = v / r[:, None]
-    kappa = modified_elu(h[:, 3])
-    return mu, kappa, (acts, pre, r)
+    kappa = modified_elu(z[:, 3])
+    return mu, kappa, (acts, z, r)
 
 
 def forward(mlp, feature):
@@ -151,21 +148,21 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
 
 def _backward_batch(mlp, rows, fwd, n_gt):
     """Mean-nll gradients (dWs, dbs) over ``rows`` of ``fwd = _forward_batch(mlp, x)``."""
-    mu, kappa, (acts, pre, r) = fwd
+    mu, kappa, (acts, z, r) = fwd
     n_gt = np.asarray(n_gt, dtype=np.float64)
     if n_gt.shape != (len(rows), 3):
         raise ShapeError(f"expected ({len(rows)}, 3) targets, got {n_gt.shape}")
     if len(rows) == 0:
         raise EmptyBatch("cannot backpropagate an empty batch")
-    delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], pre[-1][rows, 3]) / len(rows)
+    delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], z[rows, 3]) / len(rows)
 
     d_ws = [None] * len(mlp.weights)
     d_bs = [None] * len(mlp.weights)
     for l in range(len(mlp.weights) - 1, -1, -1):
         d_ws[l] = delta.T @ acts[l][rows]
         d_bs[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ mlp.weights[l]) * (pre[l - 1][rows] > 0.0)
+        if l > 0:  # a ReLU output is > 0 exactly where its pre-activation is
+            delta = (delta @ mlp.weights[l]) * (acts[l][rows] > 0.0)
     return d_ws, d_bs
 
 
@@ -200,25 +197,22 @@ class EpochStats:
     report: MetricsReport
 
 
-def _evaluate(mlp, frames, epoch):
+def _evaluate(mlp, data, epoch):
     """EpochStats from one forward per frame: mean nll over valid pixels, then errors."""
     total, count, outs = 0.0, 0, []
-    for frame in frames:
-        mu, kappa, _ = _forward_batch(mlp, frame.features.reshape(-1, frame.features.shape[-1]))
-        gt = frame.gt.data.reshape(-1, 3).astype(np.float64)
-        ok = frame.gt.valid.ravel()
+    for x, gt, ok in data:
+        mu, kappa, _ = _forward_batch(mlp, x)
         total += float(angmf_nll_rows(mu[ok], kappa[ok], gt[ok]).sum())
         count += int(ok.sum())
-        outs.append((mu, kappa[ok]))
+        outs.append((mu[ok], kappa[ok], gt[ok]))
     nll = total / count
-    # before from_vectors, which would reject a NaN mu as bad input, not divergence
+    # before normalize, which would reject a NaN mu as bad input, not divergence
     if not math.isfinite(nll):
         raise NumericalError(f"training diverged at epoch {epoch} (nll = {nll})")
-    if not any(np.any(kappa) for _, kappa in outs):
+    if not any(np.any(kappa) for _, kappa, _ in outs):
         raise NumericalError(f"kappa collapsed to 0 at every valid pixel at epoch {epoch}")
-    preds = [NormalMap.from_vectors(mu.reshape(f.gt.data.shape), valid=f.gt.valid)
-             for f, (mu, _) in zip(frames, outs)]
-    errs = [valid_errors(angular_errors(pred, f.gt)) for pred, f in zip(preds, frames)]
+    # angmf eval's kernel on the float32 map NormalMap.from_vectors would store
+    errs = [np.degrees(angle_between(normalize(mu).astype(np.float32), gt)) for mu, _, gt in outs]
     return EpochStats(epoch=epoch, nll=nll, report=summarize(np.concatenate(errs)))
 
 
@@ -232,29 +226,29 @@ def train(frames, config):
     frames = list(frames)
     if not frames:
         raise EmptyBatch("no training frames")
-    in_dim = frames[0].features.shape[-1]
     rng = RngState(config.seed)
-    mlp = init_mlp(in_dim, rng=rng)
+    mlp = init_mlp(frames[0].features.shape[-1], rng=rng)
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
+    data = [(f.features.reshape(-1, f.features.shape[-1]), f.gt.data.reshape(-1, 3).astype(np.float64),
+             f.gt.valid.ravel()) for f in frames]
 
     stats = []
     # a diverging run overflows in its matmuls and updates; the non-finite
     # kappa and nll checks report that, so numpy's warnings only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            for start in range(0, len(frames), config.batch_size):
-                batch = frames[start:start + config.batch_size]
+            for start in range(0, len(data), config.batch_size):
+                batch = data[start:start + config.batch_size]
                 acc_w = [np.zeros_like(w) for w in mlp.weights]
                 acc_b = [np.zeros_like(b) for b in mlp.biases]
-                for frame in batch:
-                    fwd = _forward_batch(mlp, frame.features.reshape(-1, in_dim))
+                for x, gt, valid in batch:
+                    fwd = _forward_batch(mlp, x)
                     kappa = fwd[1]
                     if not np.all(np.isfinite(kappa)):
                         raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
                     unc = expected_angular_error(kappa)
-                    idx = select_pixels(unc, frame.gt.valid.ravel(), sel_cfg, rng).all_indices
-                    gt = frame.gt.data.reshape(-1, 3).astype(np.float64)[idx]
-                    d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt)
+                    idx = select_pixels(unc, valid, sel_cfg, rng).all_indices
+                    d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt[idx])
                     for l in range(len(acc_w)):
                         acc_w[l] += d_ws[l]
                         acc_b[l] += d_bs[l]
@@ -263,7 +257,7 @@ def train(frames, config):
                     mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
                     mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
 
-            stats.append(_evaluate(mlp, frames, epoch))
+            stats.append(_evaluate(mlp, data, epoch))
     return mlp, stats
 
 

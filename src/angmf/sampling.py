@@ -22,19 +22,21 @@ from .sphere import tangent_basis
 
 __all__ = ["RngState", "invert_error_cdf", "draw_angmf", "sample_angmf", "sample_vonmf"]
 
+BISECTION_STEPS = 60
 
-def invert_error_cdf(kappa, u, iters=60):
+
+def invert_error_cdf(kappa, u):
     """Solve ``angmf_error_cdf(kappa, alpha) = u`` for alpha by bisection.
 
-    60 halvings of [0, pi] narrow the bracket to ~3e-18, far below the
-    1e-10 contract, at a fixed cost per call.  Broadcasts over ``u``.
+    ``BISECTION_STEPS`` halvings of [0, pi] narrow the bracket to ~3e-18,
+    far below the 1e-10 contract, at a fixed cost per call.  Broadcasts over ``u``.
     """
     u_in = np.asarray(u, dtype=np.float64)
     if not np.all((u_in >= 0.0) & (u_in <= 1.0)):
         raise DomainError("u must lie in [0, 1]")
     lo = np.zeros(u_in.shape)
     hi = np.full(u_in.shape, math.pi)
-    for _ in range(int(iters)):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         below = angmf_error_cdf(kappa, mid) < u_in
         lo = np.where(below, mid, lo)

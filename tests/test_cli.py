@@ -286,6 +286,33 @@ def test_expected_error_json(tmp_path):
     assert payload["1.0"] == pytest.approx(math.degrees(E_ALPHA_K1), rel=1e-12)
 
 
+def test_expected_error_huge_kappa_is_two_over_kappa(capsys):
+    # kappa^2 overflows here; this printed 0.0 and nan (after warnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["expected-error", "--kappa", "1e200", "1e308", "1e308"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(v) for v in lines] == [2.0 / k / math.pi * 180.0 for k in (1e200, 1e308, 1e308)]
+
+
+@pytest.mark.parametrize("json_out", [False, True])
+def test_expected_error_evaluates_once_per_kappa(tmp_path, capsys, monkeypatch, json_out):
+    calls = []
+
+    def counting(kappa):
+        calls.append(kappa)
+        return expected_angular_error(kappa)
+
+    monkeypatch.setattr("angmf.cli.expected_angular_error", counting)
+    argv = ["expected-error", "--kappa", "1", "1", "2"]
+    if json_out:
+        argv += ["--out-json", str(tmp_path / "e.json")]
+    assert main(argv) == 0
+    assert calls == [1.0, 1.0, 2.0]
+    if not json_out:
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 # ------------------------------------------------------------ select-pixels
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from angmf import (
@@ -301,6 +303,79 @@ def test_expected_error_monotone_decreasing():
     assert e.shape == (400,)
     assert np.all(np.diff(e) < 0.0)
     assert np.all(e > 0.0)
+
+
+def test_expected_error_past_kappa_squared_overflow():
+    # kappa^2 overflows above sqrt(max float) ~ 1.34e154; E[alpha] = 2/kappa there
+    k = math.sqrt(np.finfo(float).max)
+    for _ in range(4):
+        k = math.nextafter(k, 0.0)
+    prev = math.inf
+    for _ in range(9):
+        e = expected_angular_error(k)
+        if math.isinf(k * k):
+            assert e == 2.0 / k
+        assert 0.0 < e <= prev
+        prev = e
+        k = math.nextafter(k, math.inf)
+    assert expected_angular_error(1e200) == 2e-200
+    assert expected_angular_error(np.finfo(float).max) == 2.0 / np.finfo(float).max
+
+
+# ------------------------------------------------------------- properties
+
+MAX_FLOAT = float(np.finfo(float).max)
+KAPPAS = st.floats(0.0, MAX_FLOAT)
+# tiny kappa, where E[alpha] and the cdf sit on their rounding noise
+TINY_KAPPAS = st.floats(0.0, 1e-9)
+ALPHAS = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=KAPPAS | TINY_KAPPAS, alpha=ALPHAS)
+@example(kappa=1e200, alpha=0.0)
+@example(kappa=1e200, alpha=1e-300)
+@example(kappa=MAX_FLOAT, alpha=math.pi)
+def test_error_pdf_is_finite_and_nonnegative(kappa, alpha):
+    p = angmf_error_pdf(kappa, alpha)
+    assert math.isfinite(p) and p >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=KAPPAS | TINY_KAPPAS, lo=ALPHAS, gap=st.floats(0.0, 1e-12) | st.floats(0.0, 4.0))
+@example(kappa=0.4768032089305137, lo=3.0, gap=1.0)
+@example(kappa=MAX_FLOAT, lo=1.0, gap=1.0)
+def test_error_cdf_bounded_monotone_with_exact_endpoints(kappa, lo, gap):
+    hi = min(lo + gap, math.pi)
+    c_lo, c_hi = angmf_error_cdf(kappa, lo), angmf_error_cdf(kappa, hi)
+    assert 0.0 <= c_lo <= 1.0 and 0.0 <= c_hi <= 1.0
+    # 1 - exp(-k a)(cos a + k sin a) rounds a few ulps of 1 either way; the
+    # same slack as test_error_cdf_monotone_and_bounded
+    assert c_hi >= c_lo - 1e-15
+    assert angmf_error_cdf(kappa, 0.0) == 0.0
+    assert angmf_error_cdf(kappa, math.pi) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=KAPPAS | TINY_KAPPAS)
+@example(kappa=1e200)
+@example(kappa=1e308)
+@example(kappa=MAX_FLOAT)
+def test_expected_error_finite_in_range(kappa):
+    e = expected_angular_error(kappa)
+    assert math.isfinite(e) and 0.0 <= e <= math.pi / 2.0  # E[0] == pi/2: test_expected_error_frozen_values
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=KAPPAS | TINY_KAPPAS, gap=st.floats(0.0, 1e-3) | st.floats(0.0, 1e6))
+@example(lo=1.3407807929942596e154, gap=1e-15)
+@example(lo=1e300, gap=1e6)
+def test_expected_error_does_not_increase(lo, gap):
+    hi = min(lo + lo * gap, MAX_FLOAT)
+    e_lo, e_hi = expected_angular_error(lo), expected_angular_error(hi)
+    # the rounding of pi exp(-k pi) / (1 + exp(-k pi)) lets E rise by up to
+    # two of its ulps (4.4e-16 near pi/2) for kappa below 1e-10
+    assert e_hi <= e_lo + 2.0 * np.spacing(e_lo)
 
 
 # --------------------------------------------------------------- gradients

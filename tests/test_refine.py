@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angmf import RngState, make_frame, refine
 from angmf.distributions import angmf_nll, expected_angular_error
@@ -25,8 +29,11 @@ from angmf.refine import (
     save_weights,
     train,
 )
-from angmf.refine import _backward_batch, _forward_batch
+from angmf.mapio import NormalMap
+from angmf.metrics import summarize, valid_errors
+from angmf.refine import _backward_batch, _evaluate, _forward_batch
 from angmf.sphere import normalize
+from angmf.synth import SyntheticFrame
 
 from conftest import random_unit
 
@@ -227,6 +234,109 @@ def test_backward_rows_of_full_forward_match_fresh_forward():
         assert np.max(np.abs(sliced - fresh)) <= 1e-12
 
 
+# ------------------------------------------------ pre-activation reference
+
+
+def _reference_forward(mlp, x):
+    """Forward that keeps every pre-activation: (acts, pre), pre[-1] the head."""
+    acts, pre, h = [x], [], x
+    last = len(mlp.weights) - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        h = z if l == last else np.maximum(z, 0.0)
+        if l != last:
+            acts.append(h)
+    return acts, pre
+
+
+def _reference_backward(mlp, rows, mu, kappa, r, acts, pre, n_gt):
+    """Backprop that masks each hidden layer with its pre-activation > 0."""
+    delta = refine._head_gradients(n_gt, r[rows], mu[rows], kappa[rows], pre[-1][rows, 3]) / len(rows)
+    d_ws, d_bs = [None] * len(mlp.weights), [None] * len(mlp.weights)
+    for l in range(len(mlp.weights) - 1, -1, -1):
+        d_ws[l] = delta.T @ acts[l][rows]
+        d_bs[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ mlp.weights[l]) * (pre[l - 1][rows] > 0.0)
+    return d_ws, d_bs
+
+
+def test_backward_activation_mask_matches_preactivation_mask():
+    mlp = init_mlp(6, hidden_dims=(32, 32, 32), rng=RngState(31))
+    # units with zero weights and bias have pre-activation exactly 0.0
+    for l in (0, 1, 2):
+        mlp.weights[l][::5] = 0.0
+        mlp.biases[l][::5] = 0.0
+    gen = np.random.default_rng(32)
+    x = gen.uniform(-1.0, 1.0, size=(300, 6))
+    mu, kappa, (acts, z, r) = _forward_batch(mlp, x)
+    ref_acts, pre = _reference_forward(mlp, x)
+    for a, b in zip(acts, ref_acts):
+        assert np.array_equal(a, b)
+    assert np.array_equal(z, pre[-1])
+
+    # a fused multiply-add BLAS can round a sum of underflowing products to
+    # -0.0; plant such zeros, and NaN, in every hidden pre-activation
+    pre = [p.copy() for p in pre]
+    for p in pre[:-1]:
+        p[::7, ::5] = -0.0
+        p[3::11, 2] = np.nan
+        zeros = p[p == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    planted = [x] + [np.maximum(p, 0.0) for p in pre[:-1]]
+    for l in range(1, len(planted)):
+        assert np.array_equal(planted[l] > 0.0, pre[l - 1] > 0.0)
+
+    rows = np.sort(gen.choice(300, size=120, replace=False))
+    rows = rows[~np.isin(rows, np.arange(3, 300, 11))]  # NaN rows would make every gradient NaN
+    n_gt = random_unit(gen, len(rows))
+    got = _backward_batch(mlp, rows, (mu, kappa, (planted, z, r)), n_gt)
+    want = _reference_backward(mlp, rows, mu, kappa, r, planted, pre, n_gt)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(g, w)
+
+
+def _reference_angular_errors(pred, gt):
+    """The per-pixel error kernel ``angmf eval`` used before angle_between served it."""
+    dot = np.clip(np.sum(pred.data.astype(np.float64) * gt.data.astype(np.float64), axis=-1), -1.0, 1.0)
+    err = np.degrees(np.arccos(dot))
+    err[~(pred.valid & gt.valid)] = np.nan
+    return err
+
+
+def test_evaluate_matches_normal_map_route():
+    rng = RngState(40)
+    planes = [normalize([0.3, -0.2, 0.93]), normalize([-0.5, 0.1, 0.8])]
+    frames = []
+    for i in range(3):
+        f = make_frame(24, 16, planes, rng.spawn(i), jitter_kappa=30.0)
+        gt = f.gt.data.copy()
+        gt[(np.arange(24 * 16).reshape(16, 24) * (i + 3)) % 7 == 0] = np.nan  # holes
+        frames.append(SyntheticFrame(gt=NormalMap(gt), features=f.features, boundary_mask=f.boundary_mask))
+    mlp, _ = train(frames, TrainConfig(seed=41, epochs=2))
+
+    data = [(f.features.reshape(-1, 6), f.gt.data.reshape(-1, 3).astype(np.float64), f.gt.valid.ravel())
+            for f in frames]
+    got = _evaluate(mlp, data, 7)
+
+    total, count, errs = 0.0, 0, []
+    for f in frames:
+        mu, kappa, _ = _forward_batch(mlp, f.features.reshape(-1, 6))
+        ok = f.gt.valid.ravel()
+        gt = f.gt.data.reshape(-1, 3).astype(np.float64)[ok]
+        t = np.clip(np.sum(mu[ok] * gt, axis=1), -1.0, 1.0)
+        k = kappa[ok]
+        total += float((-np.log1p(k * k) + np.log1p(np.exp(-math.pi * k)) + k * np.arccos(t)).sum())
+        count += int(ok.sum())
+        pred = NormalMap.from_vectors(mu.reshape(f.gt.data.shape), valid=f.gt.valid)
+        errs.append(valid_errors(_reference_angular_errors(pred, f.gt)))
+    want = summarize(np.concatenate(errs))
+    assert got.epoch == 7
+    assert got.nll == total / count
+    assert got.report == want
+
+
 # ------------------------------------------------------------------ train
 
 
@@ -344,6 +454,33 @@ def test_weights_round_trip(tmp_path):
     path2 = tmp_path / "w2.rmlp"
     save_weights(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weights_round_trip_any_float32_net(data):
+    dims = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+
+    def draw(shape):
+        n = int(np.prod(shape))
+        return np.array(data.draw(st.lists(F32, min_size=n, max_size=n)), dtype=np.float64).reshape(shape)
+
+    mlp = RefineMLP(weights=[draw((o, i)) for i, o in zip(dims[:-1], dims[1:])],
+                    biases=[draw((o,)) for o in dims[1:]])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "w.rmlp")
+        save_weights(mlp, path)
+        back = load_weights(path)
+        again = os.path.join(d, "again.rmlp")
+        save_weights(back, again)
+        assert open(path, "rb").read() == open(again, "rb").read()
+    assert back.dims == tuple(dims)
+    # bit for bit, so signed zeros and float32 subnormals survive too
+    for got, want in zip(back.weights + back.biases, mlp.weights + mlp.biases):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_weights_file_layout(tmp_path):
