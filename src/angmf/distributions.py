@@ -243,8 +243,7 @@ def angmf_error_pdf(kappa, alpha):
     z = _exp_neg_pi_k(k)
     with np.errstate(over="ignore", invalid="ignore"):
         e, s = np.exp(-k * a), np.sin(a)
-        # (k s)(k e) is the same finite product where k^2 overflows
-        out = np.where(k > _K2_FINITE, (k * s) * (k * e), e * s * (k * k + 1.0)) / (1.0 + z)
+        out = ((k * s) * (k * e) + e * s) / (1.0 + z)
     return out if out.ndim else float(out)
 
 
