@@ -232,6 +232,18 @@ def _check_alpha(alpha):
     return a
 
 
+def _error_cdf_pdf(k, a):
+    """Unchecked, unclamped error-angle cdf and pdf, sharing one exp, sin and cos.
+
+    ``kappa alpha`` overflows only where ``exp(-kappa alpha)`` is 0, which is
+    the right value there, so the overflow is not reported.
+    """
+    z = _exp_neg_pi_k(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, s, c = np.exp(-k * a), np.sin(a), np.cos(a)
+        return (1.0 - e * (c + k * s)) / (1.0 + z), ((k * s) * (k * e) + e * s) / (1.0 + z)
+
+
 def angmf_error_pdf(kappa, alpha):
     """Density of the error angle alpha = acos(mu . n) under AngMF.
 
@@ -239,11 +251,7 @@ def angmf_error_pdf(kappa, alpha):
     on [0, pi].  Broadcasts over array arguments.
     """
     k = _check_kappa(kappa)
-    a = _check_alpha(alpha)
-    z = _exp_neg_pi_k(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e, s = np.exp(-k * a), np.sin(a)
-        out = ((k * s) * (k * e) + e * s) / (1.0 + z)
+    out = _error_cdf_pdf(k, _check_alpha(alpha))[1]
     return out if out.ndim else float(out)
 
 
@@ -255,10 +263,7 @@ def angmf_error_cdf(kappa, alpha):
     """
     k = _check_kappa(kappa)
     a = _check_alpha(alpha)
-    z = _exp_neg_pi_k(k)
-    with np.errstate(over="ignore"):  # k alpha overflows only where exp(-k alpha) is 0
-        out = (1.0 - np.exp(-k * a) * (np.cos(a) + k * np.sin(a))) / (1.0 + z)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(_error_cdf_pdf(k, a)[0], 0.0, 1.0)
     at_pi = a == math.pi
     if np.any(at_pi):  # sin(pi) is 1.2e-16 in floats, which can leave the value an ulp short of 1
         out = np.where(at_pi, 1.0, out)

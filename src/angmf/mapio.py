@@ -16,8 +16,6 @@ CSV and JSON emitters for reports, curves and sample lists live here too
 so the CLI stays a thin argument-parsing shell.
 """
 
-import csv
-import itertools
 import math
 import struct
 
@@ -174,25 +172,28 @@ def read_kappa_map(path):
     return _read_map(path, MAGIC_KAPPA, KappaMap, ())
 
 
-def _fmt(x):
-    return repr(float(x))
+# Rows per formatted or parsed CSV batch: few small string objects are
+# alive at once.  Fields are float reprs and ints, which csv.writer would
+# never quote, so the joined lines are exactly its bytes.
+_CSV_BATCH = 8192
 
 
 def write_curve_csv(curve, path):
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x_percent", "value"])
-        for x, v in zip(curve.x_percent, curve.values):
-            w.writerow([int(x), _fmt(v)])
+        f.write("x_percent,value\r\n")
+        f.write("".join([f"{int(x)},{v!r}\r\n" for x, v in zip(curve.x_percent.tolist(), curve.values.tolist())]))
 
 
 def write_vectors_csv(vectors, path):
     v = np.asarray(vectors, dtype=np.float64)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "z"])
-        for row in v:
-            w.writerow([_fmt(row[0]), _fmt(row[1]), _fmt(row[2])])
+        f.write("x,y,z\r\n")
+        for s in range(0, len(v), _CSV_BATCH):
+            f.write("".join([f"{x!r},{y!r},{z!r}\r\n" for x, y, z in v[s:s + _CSV_BATCH].tolist()]))
+
+
+def _is_header(line):
+    return line.strip().lower().replace(" ", "") == "x,y,z"
 
 
 def _data_lines(raw):
@@ -200,38 +201,60 @@ def _data_lines(raw):
     offset = 0
     for i, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(keepends=True)):
         stripped = line.strip()
-        if stripped and not (i == 0 and stripped.lower().replace(" ", "") == "x,y,z"):
+        if stripped and not (i == 0 and _is_header(stripped)):
             yield offset, stripped
         offset += len(line.encode("utf-8"))
 
 
-def read_vectors_csv(path):
-    """Read an x,y,z CSV back into an (N, 3) float array of finite values."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    rows = []
+def _bad_line_error(raw, path):
+    """The FormatError of the first malformed line, else of the first non-finite one."""
+    first_non_finite = None
     for offset, stripped in _data_lines(raw):
         parts = stripped.split(",")
         if len(parts) != 3:
-            raise FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=offset)
+            return FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=offset)
         try:
-            rows.append([float(p) for p in parts])
+            values = [float(p) for p in parts]
         except ValueError:
-            raise FormatError(f"{path}: non-numeric field in {stripped!r}", offset=offset)
-    out = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-    i = _first(~np.isfinite(out).all(axis=1))
-    if i is not None:
-        # rare path: walk the lines again rather than keep every row's offset
-        offset, stripped = next(itertools.islice(_data_lines(raw), i, None))
-        raise FormatError(f"{path}: non-finite field in {stripped!r}", offset=offset)
-    return out
+            return FormatError(f"{path}: non-numeric field in {stripped!r}", offset=offset)
+        if first_non_finite is None and not all(map(math.isfinite, values)):
+            first_non_finite = (offset, stripped)
+    offset, stripped = first_non_finite
+    return FormatError(f"{path}: non-finite field in {stripped!r}", offset=offset)
+
+
+def read_vectors_csv(path):
+    """Read an x,y,z CSV back into an (N, 3) float array of finite values.
+
+    Lines are parsed in batches.  A batch that fails any check sends the
+    whole file through the line-by-line walk of ``_bad_line_error``, which
+    names the first malformed line (or, if there is none, the first
+    non-finite one) and its byte offset.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    lines = raw.decode("utf-8", errors="replace").splitlines()
+    start = 1 if lines and _is_header(lines[0]) else 0
+    out = np.empty((len(lines) - start, 3))
+    n = 0
+    for s in range(start, len(lines), _CSV_BATCH):
+        batch = list(filter(None, map(str.strip, lines[s:s + _CSV_BATCH])))
+        if any(t.count(",") != 2 for t in batch):
+            raise _bad_line_error(raw, path)
+        try:
+            rows = np.fromiter(map(float, ",".join(batch).split(",")), np.float64, 3 * len(batch))
+        except ValueError:
+            raise _bad_line_error(raw, path) from None
+        if not np.isfinite(rows).all():
+            raise _bad_line_error(raw, path)
+        out[n:n + len(batch)] = rows.reshape(-1, 3)
+        n += len(batch)
+    return out[:n]
 
 
 def write_selection_csv(selection, path):
-    # csv.writer's bytes (no field needs quoting), joined in batches so few
-    # small string objects are alive at once
     with open(path, "w", newline="") as f:
         f.write("index,role\r\n")
         for role, idx in (("importance", selection.importance), ("coverage", selection.coverage)):
-            for s in range(0, idx.size, 8192):
-                f.write("".join([f"{i},{role}\r\n" for i in idx[s:s + 8192].tolist()]))
+            for s in range(0, idx.size, _CSV_BATCH):
+                f.write("".join([f"{i},{role}\r\n" for i in idx[s:s + _CSV_BATCH].tolist()]))

@@ -11,6 +11,9 @@ from .errors import DegenerateVector
 
 # Norm drift tolerated when accepting an "already unit" vector.
 UNIT_NORM_TOL = 1e-6
+# Norm drift that is only rounding: normalize's output norms stay within
+# 1.5 eps of 1.
+UNIT_ROUNDING = 2.0 * np.finfo(np.float64).eps
 
 
 def normalize(v):
@@ -33,17 +36,21 @@ def normalize(v):
 def as_unit(v):
     """Accept a vector that should already be unit length.
 
-    Renormalizes silently while |norm - 1| < 1e-6 and raises
-    DegenerateVector for anything further off, which almost always means a
-    bookkeeping bug in the caller rather than harmless float drift.
+    Rows whose computed norm is within ``UNIT_ROUNDING`` of 1 come back
+    unchanged, so the function is bit-idempotent: dividing by such a norm
+    would only move last bits.  Other rows are renormalized silently while
+    |norm - 1| < 1e-6; anything further off raises DegenerateVector, which
+    almost always means a bookkeeping bug in the caller rather than
+    harmless float drift.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != 3:
         raise DegenerateVector(f"expected 3 components on the last axis, got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if not np.all(np.abs(n - 1.0) < UNIT_NORM_TOL):
+    drift = np.abs(n - 1.0)
+    if not np.all(drift < UNIT_NORM_TOL):
         raise DegenerateVector("norm drifted more than 1e-6 from unit length")
-    return v / n
+    return np.where(drift <= UNIT_ROUNDING, v, v / n)
 
 
 def angle_between(u, v):

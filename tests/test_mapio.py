@@ -263,6 +263,81 @@ def test_vectors_csv_empty(tmp_path):
     assert read_vectors_csv(path).shape == (0, 3)
 
 
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for ``rows``, each field a str."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, 8192, 8193, 20000])
+def test_vectors_csv_writes_csv_writer_bytes(tmp_path, n):
+    v = np.random.default_rng(n).standard_normal((n, 3))
+    specials = np.array([[-0.0, 5e-324, 1e16], [-5e-324, 1e22, 0.1], [1e-300, -1e16, 0.0]])
+    v[:3] = specials[: min(n, 3)]
+    path = tmp_path / "v.csv"
+    write_vectors_csv(v, path)
+    assert path.read_bytes() == csv_writer_bytes(["x", "y", "z"], [[repr(float(x)) for x in row] for row in v])
+
+
+def reference_read(path):
+    """The line-by-line reader that the batched one must match: rows, or (message, offset) of the error."""
+    raw = path.read_bytes()
+    rows, offset = [], 0
+    for i, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(keepends=True)):
+        stripped = line.strip()
+        if stripped and not (i == 0 and stripped.lower().replace(" ", "") == "x,y,z"):
+            parts = stripped.split(",")
+            if len(parts) != 3:
+                return f"{path}: expected 3 columns, got {len(parts)}", offset
+            try:
+                rows.append(([float(p) for p in parts], offset, stripped))
+            except ValueError:
+                return f"{path}: non-numeric field in {stripped!r}", offset
+        offset += len(line.encode("utf-8"))
+    for values, offset, stripped in rows:
+        if not all(map(math.isfinite, values)):
+            return f"{path}: non-finite field in {stripped!r}", offset
+    return np.array([values for values, _, _ in rows], dtype=np.float64).reshape(-1, 3)
+
+
+_GOOD = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in np.random.default_rng(7).standard_normal((9000, 3)).tolist())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,y,z\n\n1,2,3\n   \n4,5,6\n",
+        "x,y,z\r\n1,2,3\r\n4,5,6\r\n",
+        "x,y,z\r1,2,3\r4,5,6",
+        " X, Y , Z\n1, 2 ,3\n",
+        "\nx,y,z\n1,2,3\n",  # a header only counts on the first line
+        "1,2,3\n4,5,6",
+        "",
+        "x,y,z\r\n",
+        "x,y,z\n" + _GOOD + "1,2\n",
+        "x,y,z\r\n" + _GOOD.replace("\n", "\r\n") + "\r\n1,2,fish\r\n" + _GOOD,
+        "x,y,z\r" + _GOOD.replace("\n", "\r") + "1,,3\r",
+        "x,y,z\n1,nan,3\n" + _GOOD + "1,2,3,4\n",  # non-finite first, malformed later
+        "x,y,z\n" + _GOOD + "1,inf,3\n" + _GOOD + "-Infinity,1,3\n",
+        "x,y,z\n1,2,3\n\xe9,1,2\n",
+    ],
+)
+def test_vectors_csv_reader_matches_line_by_line(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    want = reference_read(path)
+    if isinstance(want, np.ndarray):
+        got = read_vectors_csv(path)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    else:
+        with pytest.raises(FormatError) as ei:
+            read_vectors_csv(path)
+        assert (str(ei.value), ei.value.offset) == (f"{want[0]} (byte offset {want[1]})", want[1])
+
+
 def test_metrics_json_layout(tmp_path):
     # metrics JSON is written by the CLI; 30 deg is nudged up so float32
     # storage cannot flip it across the strict pct_30 threshold
@@ -290,6 +365,8 @@ def test_curve_csv_layout(tmp_path):
     assert len(lines) == 101
     assert lines[1] == "1,0.0"
     assert lines[-1].startswith("100,")
+    rows = [[str(x), repr(float(v))] for x, v in zip(range(1, 101), c.values)]
+    assert path.read_bytes() == csv_writer_bytes(["x_percent", "value"], rows)
 
 
 def test_selection_csv_layout(tmp_path):

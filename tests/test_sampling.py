@@ -13,6 +13,7 @@ from angmf import (
     sample_angmf,
     sample_vonmf,
 )
+from angmf import sampling
 from angmf.errors import DomainError
 from angmf.sphere import normalize
 
@@ -25,9 +26,10 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def test_invert_exact_endpoints():
-    for kappa in (0.0, 1.0, 17.5, 400.0):
+    for kappa in (0.0, 1.0, 17.5, 400.0, 1e6, 1e308):
         assert invert_error_cdf(kappa, 0.0) == 0.0
         assert invert_error_cdf(kappa, 1.0) == math.pi
+        assert invert_error_cdf(kappa, np.array([1.0, 0.0, 0.5]))[:2].tolist() == [math.pi, 0.0]
 
 
 def test_invert_round_trip():
@@ -40,16 +42,54 @@ def test_invert_round_trip():
         assert np.max(np.abs(back - u)) < 1e-10
 
 
+ROUND_TRIP_KAPPAS = np.concatenate([[0.0], np.logspace(-8, 6, 29)])
+_K = np.arange(1.0, 65.0)
+# a midrange grid, the RNG's extreme outputs k 2^-53 and 1 - k 2^-53, and
+# uniforms far below the RNG's resolution
+ROUND_TRIP_US = np.concatenate(
+    [np.linspace(0.0, 1.0, 1001), _K * 2.0**-53, 1.0 - _K * 2.0**-53, np.logspace(-300, -17, 40)]
+)
+
+
+@pytest.mark.parametrize("kappa", ROUND_TRIP_KAPPAS)
+def test_invert_round_trip_contract(kappa):
+    alpha = invert_error_cdf(kappa, ROUND_TRIP_US)
+    assert np.all((alpha >= 0.0) & (alpha <= math.pi))
+    assert np.max(np.abs(angmf_error_cdf(kappa, alpha) - ROUND_TRIP_US)) <= 1e-10
+
+
+def test_invert_builds_one_table_per_call(monkeypatch):
+    calls = []
+
+    def counted(kappa, alpha):
+        calls.append(np.size(alpha))
+        return angmf_error_cdf(kappa, alpha)
+
+    monkeypatch.setattr(sampling, "angmf_error_cdf", counted)
+    u = np.linspace(0.0, 1.0, 10_000)
+    invert_error_cdf(5.0, u)  # the table spans [0, pi]
+    invert_error_cdf(50.0, u)  # [0, 40/kappa], plus pi
+    assert calls == [sampling.TABLE_CELLS + 1, sampling.TABLE_CELLS + 2]
+
+
+@pytest.mark.parametrize("kappa", [np.array([1.0]), [1.0, 2.0], np.ones((2, 2))])
+def test_invert_rejects_non_scalar_kappa(kappa):
+    with pytest.raises(DomainError):
+        invert_error_cdf(kappa, 0.5)
+
+
 def test_invert_median_kappa_zero():
     # kappa = 0 error angle is arccos(1 - 2u); u = 1/2 gives pi/2
     assert abs(invert_error_cdf(0.0, 0.5) - math.pi / 2.0) < 1e-12
 
 
 def test_invert_scalar_vs_array():
-    u = np.array([0.1, 0.6, 0.93])
-    arr = invert_error_cdf(3.0, u)
-    for i, ui in enumerate(u):
-        assert invert_error_cdf(3.0, float(ui)) == arr[i]
+    # 12.7 and 12.8 sit on either side of the table's switch from [0, pi] to [0, 40/kappa]
+    u = np.array([0.0, 2.0**-53, 1e-300, 0.1, 0.6, 0.93, 1.0 - 2.0**-53, 1.0])
+    for kappa in (0.0, 1e-8, 3.0, 12.7, 12.8, 300.0, 1e6, 1e308):
+        arr = invert_error_cdf(kappa, u)
+        assert np.all(np.isfinite(arr))
+        assert [invert_error_cdf(kappa, float(ui)) for ui in u] == arr.tolist()
 
 
 def test_invert_domain_error():

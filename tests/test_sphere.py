@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angmf.errors import DegenerateVector
 from angmf.sphere import angle_between, as_unit, log_map, normalize, tangent_basis
@@ -56,6 +58,18 @@ def test_as_unit_accepts_drift():
     v = np.array([0.0, 0.0, 1.0]) * (1.0 + 5e-7)
     out = as_unit(v)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-15
+
+
+COMPONENTS = st.floats(-1e6, 1e6, allow_nan=False) | st.floats(-1e-300, 1e-300, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.lists(COMPONENTS, min_size=3, max_size=3).filter(lambda c: any(c)), drift=st.floats(-9e-7, 9e-7))
+def test_as_unit_is_bit_idempotent(v, drift):
+    once = as_unit(normalize(v) * (1.0 + drift))
+    assert np.array_equal(as_unit(once), once)
+    u = normalize(v)
+    assert np.array_equal(as_unit(u), u)  # normalize's output is already unit
 
 
 def test_as_unit_rejects_drift():
