@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .sphere import angle_between, as_unit
+from .sphere import angle_between, as_unit, dot3
 
 __all__ = [
     "VonMFParams",
@@ -198,14 +198,12 @@ def angmf_grad_rows(mu, kappa, n_gt):
     vanishes exactly when kappa explains the observed angle.  Rows whose
     dot product is clamped to +/-(1 - 1e-7) on the mu path are flagged.
     """
-    t_raw = np.sum(mu * n_gt, axis=1)
-    alpha = np.arccos(np.clip(t_raw, -1.0, 1.0))
-    d_kappa = alpha - expected_angular_error(kappa)
-
+    d_kappa = angle_between(mu, n_gt) - expected_angular_error(kappa)
+    t_raw = dot3(mu, n_gt)  # only for the mu path's tighter clamp
     tg = np.clip(t_raw, -GRAD_DOT_CLAMP, GRAD_DOT_CLAMP)
     sin_a = np.sqrt(1.0 - tg * tg)
     d_mu = (-kappa / sin_a)[:, None] * (n_gt - tg[:, None] * mu)
-    d_mu = d_mu - np.sum(d_mu * mu, axis=1, keepdims=True) * mu
+    d_mu = d_mu - dot3(d_mu, mu)[:, None] * mu
     return d_mu, d_kappa, np.abs(t_raw) > GRAD_DOT_CLAMP
 
 

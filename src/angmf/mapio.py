@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .sphere import UNIT_NORM_TOL, normalize
+from .sphere import UNIT_NORM_TOL, dot3, normalize
 
 __all__ = [
     "NormalMap",
@@ -72,14 +72,18 @@ class NormalMap(_Grid):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 3 or data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) array, got {data.shape}")
-        nan = np.isnan(data)
-        norms = np.linalg.norm(data.astype(np.float64), axis=-1)
-        # a mixed NaN pixel has a NaN norm, so it fails the unit test too
+        # a NaN pixel has a NaN norm, so it fails the unit test; only an all-NaN one
+        # is exempt.  Signalling NaN payloads are NaN pixels too: no warning.
         with np.errstate(invalid="ignore"):
-            bad = ~nan.all(axis=2) & ~(np.abs(norms - 1.0) < UNIT_NORM_TOL)
+            drift = np.sqrt(dot3(data, data))
+            drift -= 1.0
+            np.abs(drift, out=drift)
+            bad = ~(drift < UNIT_NORM_TOL)
+        bad &= ~(np.isnan(data[..., 0]) & np.isnan(data[..., 1]) & np.isnan(data[..., 2]))
         i = _first(bad)
         if i is not None:
-            what = "mixes NaN and finite components" if nan.reshape(-1, 3)[i].any() else "is not unit length"
+            mixed = np.isnan(data.reshape(-1, 3)[i]).any()
+            what = "mixes NaN and finite components" if mixed else "is not unit length"
             raise DomainError(f"pixel {i} {what}", index=i)
         self.data = data
 

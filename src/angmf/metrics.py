@@ -14,9 +14,19 @@ values and AUSE is the AUSC of (estimated - oracle).
 
 Each curve takes one sort (a median curve two) and matches np.median /
 np.mean on every prefix bit for bit, via order statistics and counts.
-Only the uncertainty ranking needs a stable sort.  Sorts of the errors
-themselves use numpy's default kind: tied errors are equal values, so
-their order cannot change a curve value.
+Only the uncertainty ranking must break ties by index, as a stable sort
+would.  It takes numpy's default sort, which is several times faster but
+may leave tied values in any order, and then sorts the input indices
+ascending inside each run of equal uncertainties; runs are found with
+``==``, so -0.0 and +0.0 tie as they do in a stable sort.  The result is
+the stable order by construction, whatever order the default sort left
+the ties in.  Sorts of the errors themselves need no repair: tied errors
+are equal values, so their order cannot change a curve value.
+
+A median curve over an unsorted prefix finds its middle order statistics
+in rank space: the prefix marks its members, per-block member counts say
+which block of ``_RANK_BLOCK`` ranks holds the m-th one, and only that
+block is scanned.
 """
 
 import math
@@ -67,7 +77,8 @@ def angular_errors(pred, gt):
     """
     if pred.data.shape != gt.data.shape:
         raise ShapeError(f"map shapes differ: {pred.data.shape} vs {gt.data.shape}")
-    err = np.degrees(angle_between(pred.data, gt.data))
+    with np.errstate(invalid="ignore"):  # signalling NaN payloads are invalid pixels too
+        err = np.degrees(angle_between(pred.data, gt.data))
     err[~(pred.valid & gt.valid)] = np.nan
     return err
 
@@ -111,6 +122,10 @@ class SparsificationCurve:
         return np.arange(1, 101)
 
 
+# Ranks per block of the median curve's member counts.
+_RANK_BLOCK = 1024
+
+
 def _prefix_medians(e, cuts, is_sorted):
     # np.median is np.mean of the one or two middle order statistics; that
     # mean sums from +0.0, so which of two tied signed zeros is taken never shows
@@ -120,10 +135,24 @@ def _prefix_medians(e, cuts, is_sorted):
     rank = np.empty_like(order)
     rank[order] = np.arange(e.size)
     member = np.zeros(e.size, dtype=bool)  # the prefix, in rank space
+    n_blocks = -(-e.size // _RANK_BLOCK)
+    counts = np.zeros(n_blocks, dtype=np.intp)  # members per block of ranks
+
+    def member_rank(m, ends):
+        """Rank of the m-th (0-based) member; ``ends`` is the cumulative block count."""
+        b = int(np.searchsorted(ends, m, side="right"))
+        before = int(ends[b - 1]) if b else 0
+        lo = b * _RANK_BLOCK
+        return lo + int(np.flatnonzero(member[lo:lo + _RANK_BLOCK])[m - before])
+
     out = []
     for done, k in zip([0] + cuts, cuts):
-        member[rank[done:k]] = True
-        out.append(np.mean(e[order[np.flatnonzero(member)[(k - 1) // 2:k // 2 + 1]]]))
+        new = rank[done:k]
+        member[new] = True
+        counts += np.bincount(new // _RANK_BLOCK, minlength=n_blocks)
+        ends = np.cumsum(counts)
+        mid = [member_rank(m, ends) for m in range((k - 1) // 2, k // 2 + 1)]
+        out.append(np.mean(e[order[mid]]))
     return out
 
 
@@ -147,6 +176,28 @@ def _prefix_curve(e, metric, is_sorted=False):
     return SparsificationCurve(metric=metric, values=np.array(values, dtype=np.float64))
 
 
+def _stable_ranking(u):
+    """``np.argsort(u, kind="stable")`` from the default sort plus a repair of the ties.
+
+    Tied uncertainties must keep index order, which decides the prefixes.
+    Inside each run of equal values the indices are sorted ascending: a
+    key of run number * N + index sorts within runs and keeps the runs in
+    place, since run numbers only grow along the ranking.
+    """
+    order = np.argsort(u)
+    su = u[order]
+    eq = su[1:] == su[:-1]
+    if not eq.any():
+        return order
+    tied = np.zeros(u.size, dtype=bool)
+    tied[1:] = eq
+    tied[:-1] |= eq
+    run = np.cumsum(np.concatenate(([True], ~eq)))[tied]
+    key = run * u.size + order[tied]
+    order[tied] = np.sort(key) - run * u.size
+    return order
+
+
 def sparsification(errors_deg, uncertainties, metric="mean"):
     """Sparsification curve: metric over the lowest-uncertainty prefixes.
 
@@ -160,9 +211,7 @@ def sparsification(errors_deg, uncertainties, metric="mean"):
         raise ShapeError(f"errors {e.shape} vs uncertainties {u.shape}")
     if not np.all(np.isfinite(u)):
         raise DomainError("uncertainties must be finite")
-    # stable: tied uncertainties keep index order, which decides the prefixes
-    order = np.argsort(u, kind="stable")
-    return _prefix_curve(e[order], metric)
+    return _prefix_curve(e[_stable_ranking(u)], metric)
 
 
 def oracle_curve(errors_deg, metric="mean"):

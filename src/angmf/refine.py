@@ -47,7 +47,7 @@ from .errors import (
 from .metrics import MetricsReport, summarize
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
-from .sphere import angle_between, normalize
+from .sphere import angle_between, dot3, normalize
 
 __all__ = [
     "RefineMLP",
@@ -120,7 +120,7 @@ def _forward_batch(mlp, x):
         if l < last:
             acts.append(np.maximum(z, 0.0, out=z))
     v = z[:, :3]
-    r = np.linalg.norm(v, axis=1)
+    r = np.sqrt(dot3(v, v))
     if np.any(r < 1e-12):
         raise NormalizationError("direction head collapsed below 1e-12")
     mu = v / r[:, None]
@@ -138,7 +138,7 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
     """d(nll)/d(raw outputs) for each row, shape (N, 4)."""
     d_mu, d_kappa, _ = angmf_grad_rows(mu, kappa, n_gt)
     # exact Jacobian of v / ||v||: J^T y = (y - mu (mu . y)) / r
-    d_v = (d_mu - np.sum(d_mu * mu, axis=1, keepdims=True) * mu) / r[:, None]
+    d_v = (d_mu - dot3(d_mu, mu)[:, None] * mu) / r[:, None]
 
     dz = np.empty((n_gt.shape[0], 4))
     dz[:, :3] = d_v

@@ -3,6 +3,15 @@
 Directions are plain numpy arrays of shape (..., 3).  Everything here is
 vectorized over leading axes so grids of normals go through the same code
 path as single vectors.
+
+Row-wise 3-vector dot products and norms go through :func:`dot3`, which
+adds the three component products as whole arrays.  ``np.sum(u * v,
+axis=-1)`` and ``np.linalg.norm`` reduce over a length-3 axis, which
+numpy does slowly, but their rounding is plain: they add from +0.0 and
+then the products in order, left to right.  ``dot3`` takes exactly those
+steps, so it gives the same number bit for bit, only faster.  Grouping
+from the right, ``p0 + (p1 + p2)``, rounds differently on some rows.
+``log_map`` keeps its matrix products: they are not bit-equal to these.
 """
 
 import numpy as np
@@ -16,6 +25,23 @@ UNIT_NORM_TOL = 1e-6
 UNIT_ROUNDING = 2.0 * np.finfo(np.float64).eps
 
 
+def dot3(u, v):
+    """``np.sum(u * v, axis=-1)`` of 3-vectors in float64, with the same bits wherever it is a number.
+
+    The sum is ``((p0 + p1) + p2) + 0.0``; the trailing +0.0 turns an all
+    -0.0 row into +0.0, as the reduction's +0.0 start does.  Products are
+    taken in float64, which widens float32 input exactly, so a float32 map
+    needs no float64 copy.  Where the sum is NaN, so is this; numpy's own
+    loops do not agree on which NaN payload an add returns, and no caller
+    lets one reach its output.
+    """
+    d = np.multiply(u[..., 0], v[..., 0], dtype=np.float64)
+    d += np.multiply(u[..., 1], v[..., 1], dtype=np.float64)
+    d += np.multiply(u[..., 2], v[..., 2], dtype=np.float64)
+    d += 0.0
+    return d
+
+
 def normalize(v):
     """Scale ``v`` to unit length along the last axis.
 
@@ -26,11 +52,12 @@ def normalize(v):
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != 3:
         raise DegenerateVector(f"expected 3 components on the last axis, got shape {v.shape}")
-    scale = np.max(np.abs(v), axis=-1, keepdims=True)
+    a = np.abs(v)
+    scale = np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])[..., None]
     if not np.all(scale > 0.0):
         raise DegenerateVector("zero vector has no direction")
     w = v / scale
-    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return w / np.sqrt(dot3(w, w))[..., None]
 
 
 def as_unit(v):
@@ -46,7 +73,7 @@ def as_unit(v):
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != 3:
         raise DegenerateVector(f"expected 3 components on the last axis, got shape {v.shape}")
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = np.sqrt(dot3(v, v))[..., None]
     drift = np.abs(n - 1.0)
     if not np.all(drift < UNIT_NORM_TOL):
         raise DegenerateVector("norm drifted more than 1e-6 from unit length")
@@ -59,10 +86,7 @@ def angle_between(u, v):
     The dot product is clamped to [-1, 1] so float drift at (anti)parallel
     inputs cannot push acos out of its domain.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    d = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-    return np.arccos(d)
+    return np.arccos(np.clip(dot3(np.asarray(u), np.asarray(v)), -1.0, 1.0))
 
 
 def log_map(mu, s):
@@ -97,6 +121,6 @@ def tangent_basis(mu):
     idx = np.argmin(np.abs(mu), axis=-1)
     np.put_along_axis(helper, np.expand_dims(idx, -1), 1.0, axis=-1)
     e1 = np.cross(helper, mu)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    e1 = e1 / np.sqrt(dot3(e1, e1))[..., None]
     e2 = np.cross(mu, e1)
     return e1, e2

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angmf import (
     KappaMap,
@@ -176,6 +178,97 @@ def test_constructor_error_carries_first_bad_index():
     with pytest.raises(DomainError) as ei:
         KappaMap(k)
     assert ei.value.index == 3
+
+
+def _float32_edge(toward):
+    """The last float32 z from 1 toward ``toward`` with float64 |z - 1| < 1e-6, and the next float32."""
+    z = np.float32(1.0)
+    while abs(float(np.nextafter(z, np.float32(toward))) - 1.0) < 1e-6:
+        z = np.nextafter(z, np.float32(toward))
+    return float(z), float(np.nextafter(z, np.float32(toward)))
+
+
+IN_HI, OUT_HI = _float32_edge(2.0)
+IN_LO, OUT_LO = _float32_edge(0.0)
+# quiet NaN with a payload, negative quiet NaN, signalling NaN
+NAN_BITS = np.array([0x7FC00001, 0xFFC00000, 0x7FA00000, 0xFFFFFFFF], dtype=np.uint32)
+PAYLOAD_NANS = list(NAN_BITS[:3].view(np.float32))
+SNAN = NAN_BITS[2:3].view(np.float32)[0]
+MIXED, NOT_UNIT = "mixes NaN and finite components", "is not unit length"
+
+
+@pytest.mark.parametrize("pixels, first, what", [
+    ({5: [np.nan, 0.0, 1.0]}, 5, MIXED),
+    ({2: [0.0, np.nan, np.nan]}, 2, MIXED),
+    ({9: [np.nan, np.nan, 1.0]}, 9, MIXED),
+    ({10: [np.nan, 1.0, np.nan]}, 10, MIXED),
+    ({1: [SNAN, 0.0, 1.0]}, 1, MIXED),
+    ({7: [np.inf, 0.0, 0.0]}, 7, NOT_UNIT),
+    ({4: [0.0, 0.0, -np.inf]}, 4, NOT_UNIT),
+    ({6: [np.inf, np.nan, 0.0]}, 6, MIXED),
+    ({3: [0.0, 0.0, 0.5]}, 3, NOT_UNIT),
+    ({0: [0.0, 0.0, 0.0]}, 0, NOT_UNIT),
+    ({8: [0.0, 0.0, 2.0], 9: [np.nan, 0.0, 1.0]}, 8, NOT_UNIT),
+    ({8: [np.nan, 0.0, 1.0], 9: [0.0, 0.0, 2.0]}, 8, MIXED),
+    ({1: PAYLOAD_NANS}, None, None),
+    ({1: PAYLOAD_NANS, 10: [0.0, 0.0, 0.5]}, 10, NOT_UNIT),
+    ({4: [0.0, 0.0, IN_HI], 5: [-IN_LO, 0.0, 0.0]}, None, None),
+    ({4: [0.0, 0.0, IN_HI], 5: [0.0, OUT_HI, 0.0]}, 5, NOT_UNIT),
+    ({4: [-IN_LO, 0.0, 0.0], 11: [0.0, 0.0, -OUT_LO]}, 11, NOT_UNIT),
+])
+def test_map_validation_first_bad_pixel(tmp_path, pixels, first, what):
+    data = unit_grid(3, 4, seed=5).astype(np.float32).reshape(-1, 3)
+    for i, value in pixels.items():
+        data[i] = value
+    data = data.reshape(3, 4, 3)
+    path = tmp_path / "m.snm"
+    path.write_bytes(b"SNMP1" + struct.pack("<II", 4, 3) + data.astype("<f4").tobytes())
+    if first is None:
+        assert read_normal_map(path).data.tobytes() == data.tobytes()
+        return
+    with pytest.raises(DomainError) as ei:
+        NormalMap(data)
+    assert ei.value.index == first
+    assert str(ei.value) == f"pixel {first} {what}"
+    with pytest.raises(FormatError) as ei:
+        read_normal_map(path)
+    assert ei.value.offset == 13 + 12 * first
+    assert f"{path}: pixel {first} {what}" in str(ei.value)
+
+
+def test_float32_edges_straddle_the_unit_tolerance():
+    assert abs(IN_HI - 1.0) < 1e-6 <= abs(OUT_HI - 1.0)
+    assert abs(IN_LO - 1.0) < 1e-6 <= abs(OUT_LO - 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(0, 5),
+    width=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    nan_share=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_map_files_round_trip_property(tmp_path_factory, height, width, seed, nan_share):
+    # invalid pixels and kappas carry NaNs of every sign, payload and kind
+    gen = np.random.default_rng(seed)
+    nans = NAN_BITS.view(np.float32)
+    normals = unit_grid(height, width, seed=seed).astype(np.float32)
+    holes = gen.random((height, width)) < nan_share
+    normals[holes] = nans[gen.integers(0, nans.size, (int(holes.sum()), 1))]
+    kappa = gen.choice(np.float32([0.0, -0.0, 1e-30, 3.5, 7e4]), (height, width))
+    holes = gen.random((height, width)) < nan_share
+    kappa[holes] = nans[gen.integers(0, nans.size, int(holes.sum()))]
+    d = tmp_path_factory.mktemp("maps")
+    for write, read, cls, data, magic in ((write_normal_map, read_normal_map, NormalMap, normals, b"SNMP1"),
+                                          (write_kappa_map, read_kappa_map, KappaMap, kappa, b"SKMP1")):
+        m = cls(data)
+        write(m, d / "a")
+        raw = (d / "a").read_bytes()
+        assert raw == magic + struct.pack("<II", width, height) + data.astype("<f4").tobytes()
+        back = read(d / "a")
+        assert back == m and back.data.shape == data.shape
+        write(back, d / "b")
+        assert (d / "b").read_bytes() == raw
 
 
 # ------------------------------------------------------------ kappa maps

@@ -18,7 +18,7 @@ from angmf import (
     summarize,
 )
 from angmf.errors import DomainError, EmptyInput, ShapeError
-from angmf.metrics import METRIC_NAMES, THRESHOLDS_DEG, valid_errors
+from angmf.metrics import _RANK_BLOCK, METRIC_NAMES, THRESHOLDS_DEG, _stable_ranking, valid_errors
 
 SQRT750 = 27.386127875258305673
 
@@ -218,6 +218,26 @@ def test_sparsification_tie_break_stable():
     assert c.values[-1] == 5.0
 
 
+RANKING_INPUTS = {
+    "all-equal": lambda gen, n: np.full(n, 0.25),
+    "signed-zeros": lambda gen, n: np.where(gen.random(n) < 0.5, 0.0, -0.0),
+    "zeros-and-ones": lambda gen, n: gen.choice([-0.0, 0.0, 1.0], n),
+    "sorted": lambda gen, n: np.sort(gen.random(n)),
+    "reverse-sorted": lambda gen, n: np.sort(gen.random(n))[::-1].copy(),
+    "sorted-with-runs": lambda gen, n: np.sort(gen.integers(0, 7, n)).astype(float),
+    "few-levels": lambda gen, n: gen.choice(gen.random(5), n),
+    "distinct": lambda gen, n: gen.random(n),
+    "mostly-distinct": lambda gen, n: np.round(gen.random(n), 4),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 100_000])
+@pytest.mark.parametrize("kind", sorted(RANKING_INPUTS))
+def test_ranking_equals_stable_argsort(kind, n):
+    u = RANKING_INPUTS[kind](np.random.default_rng(n), n)
+    assert np.array_equal(_stable_ranking(u), np.argsort(u, kind="stable"))
+
+
 def test_curve_validation():
     e = np.ones(10)
     with pytest.raises(ShapeError):
@@ -270,6 +290,22 @@ def test_curves_bit_equal_per_prefix_reference(n, seed, e_levels, u_levels):
     levels = np.concatenate([[0.0, -0.0], THRESHOLDS_DEG, gen.uniform(0.0, 180.0, e_levels)])
     e = gen.choice(levels, size=n)
     u = gen.choice(gen.uniform(0.0, 2.0, u_levels), size=n)
+    by_unc = e[np.argsort(u, kind="stable")]
+    by_err = e[np.argsort(e, kind="stable")]
+    for metric in METRIC_NAMES:
+        est = sparsification(e, u, metric=metric).values
+        assert est.tobytes() == _reference_curve(by_unc, metric).tobytes(), metric
+        orc = oracle_curve(e, metric=metric).values
+        assert orc.tobytes() == _reference_curve(by_err, metric).tobytes(), metric
+
+
+@pytest.mark.parametrize("n", [_RANK_BLOCK - 1, _RANK_BLOCK, _RANK_BLOCK + 1, 4 * _RANK_BLOCK + 3, 50_000])
+def test_curves_bit_equal_per_prefix_reference_across_blocks(n):
+    # the median curve's members span several blocks of ranks from these sizes on
+    gen = np.random.default_rng(n)
+    levels = np.concatenate([[0.0, -0.0], THRESHOLDS_DEG, gen.uniform(0.0, 180.0, n // 3)])
+    e = gen.choice(levels, size=n)
+    u = gen.choice(gen.uniform(0.0, 2.0, n // 5), size=n)
     by_unc = e[np.argsort(u, kind="stable")]
     by_err = e[np.argsort(e, kind="stable")]
     for metric in METRIC_NAMES:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angmf.errors import DegenerateVector
-from angmf.sphere import angle_between, as_unit, log_map, normalize, tangent_basis
+from angmf.sphere import angle_between, as_unit, dot3, log_map, normalize, tangent_basis
 
 from conftest import random_rotation, random_unit
 
@@ -77,6 +77,54 @@ def test_as_unit_rejects_drift():
         as_unit([0.0, 0.0, 1.1])
     with pytest.raises(DegenerateVector):
         as_unit([0.0, 0.0, 0.0])
+
+
+# ±0.0, subnormals, the smallest normal, overflowing and underflowing
+# squares, NaN of both signs and a payload, and ±inf
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1.5e-154, 1e154, 1e308, -1e308,
+                     1.0, -1.0, 3.0, 1e16, np.nan, -np.nan, np.inf, -np.inf,
+                     np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64)])
+
+
+def _same_numbers(a, b):
+    """Bit equality wherever ``b`` is a number, and NaN at the same places."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(b)
+    return a.shape == b.shape and np.array_equal(np.isnan(a), nan) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (100_000, 3), (2, 5, 3), (480, 640, 3)])
+@pytest.mark.parametrize("values", ["wide", "specials"])
+def test_dot3_bit_equal_to_sum(shape, values):
+    gen = np.random.default_rng([len(shape), shape[0]])
+    if values == "wide":
+        u = gen.standard_normal(shape) * np.exp(gen.uniform(-40.0, 40.0, shape))
+        v = gen.standard_normal(shape)
+    else:
+        u, v = gen.choice(SPECIALS, shape), gen.choice(SPECIALS, shape)
+    with np.errstate(all="ignore"):
+        assert _same_numbers(dot3(u, v), np.sum(u * v, axis=-1))
+        assert _same_numbers(np.sqrt(dot3(u, u)), np.linalg.norm(u, axis=-1))
+        # one vector against many, and a strided view like the MLP's head columns
+        w = u.reshape(-1, 3)
+        assert _same_numbers(dot3(v.reshape(-1, 3)[0], w), np.sum(v.reshape(-1, 3)[0] * w, axis=-1))
+        z = np.concatenate([w, w[:, :1]], axis=1)[:, :3]
+        assert _same_numbers(np.sqrt(dot3(z, z)), np.linalg.norm(z, axis=1))
+        # float32 products are taken in float64, as after a float64 copy
+        f = u.astype(np.float32)
+        assert _same_numbers(dot3(f, v), np.sum(f.astype(np.float64) * v, axis=-1))
+
+
+def test_dot3_signed_zero_and_grouping():
+    # np.sum adds from +0.0: an all -0.0 row sums to +0.0
+    z = np.full((4, 3), -0.0)
+    assert not np.signbit(dot3(z, np.ones(3))).any()
+    assert not np.signbit(np.sum(z, axis=-1)).any()
+    u, v = np.array([-0.0, 0.0, -0.0]), np.array([1.0, -1.0, 1.0])
+    assert not np.signbit(dot3(u, v)) and not np.signbit(np.sum(u * v))
+    # left grouping: (1e16 + 1) + 1 rounds back to 1e16
+    u = np.array([1e16, 1.0, 1.0])
+    assert dot3(u, np.ones(3)) == np.sum(u) == 1e16
 
 
 def test_angle_between_basics():
