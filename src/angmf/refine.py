@@ -14,7 +14,17 @@ frame, converts kappa to expected angular error, selects pixels via
 over the selected pixels only, slicing the selected rows out of that same
 full-frame forward.  Updates are plain minibatch gradient descent.  Each
 epoch ends with one more forward per frame, which gives the mean nll, the
-kappa collapse check and the error summary.
+kappa collapse check and the error summary.  That evaluation forwards
+frame 0 last, and the next epoch's first step, on frame 0 with the same
+weights, reuses its forward, so a run makes 2·E·F − (E − 1) whole-frame
+forwards for E epochs of F frames.
+
+A run keeps one workspace of float64 layer outputs, one buffer per
+(layer, rows), and every forward writes its matrix products into it.  A
+forward's layer activations and raw head output alias those buffers and
+stay valid only until the next forward of as many rows, so each backward
+runs before the next forward.  The single-pixel ``forward`` and
+``backward`` use no workspace.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
@@ -107,15 +117,26 @@ def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
     return RefineMLP(weights=weights, biases=biases)
 
 
-def _forward_batch(mlp, x):
-    """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, z, r)): layer inputs, raw head output, |v|."""
+def _forward_batch(mlp, x, work=None):
+    """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, z, r)): layer inputs, raw head output, |v|.
+
+    ``work`` is an optional workspace dict that maps (layer, N) to that
+    layer's float64 output buffer; missing buffers are added on first use.
+    With a workspace, ``acts[1:]`` and ``z`` alias its buffers and stay
+    valid only until the next forward of N rows on it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[1]:
         raise ShapeError(f"expected (N, {mlp.weights[0].shape[1]}) features, got {x.shape}")
     acts = [x]
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[l] @ w.T
+        out = None
+        if work is not None:
+            out = work.get((l, len(x)))
+            if out is None:
+                out = work[(l, len(x))] = np.empty((len(x), w.shape[0]))
+        z = np.matmul(acts[l], w.T, out=out)
         z += b
         if l < last:
             acts.append(np.maximum(z, 0.0, out=z))
@@ -159,10 +180,11 @@ def _backward_batch(mlp, rows, fwd, n_gt):
     d_ws = [None] * len(mlp.weights)
     d_bs = [None] * len(mlp.weights)
     for l in range(len(mlp.weights) - 1, -1, -1):
-        d_ws[l] = delta.T @ acts[l][rows]
+        a = acts[l][rows]
+        d_ws[l] = delta.T @ a
         d_bs[l] = delta.sum(axis=0)
         if l > 0:  # a ReLU output is > 0 exactly where its pre-activation is
-            delta = (delta @ mlp.weights[l]) * (acts[l][rows] > 0.0)
+            delta = (delta @ mlp.weights[l]) * (a > 0.0)
     return d_ws, d_bs
 
 
@@ -197,14 +219,23 @@ class EpochStats:
     report: MetricsReport
 
 
-def _evaluate(mlp, data, epoch):
-    """EpochStats from one forward per frame: mean nll over valid pixels, then errors."""
-    total, count, outs = 0.0, 0, []
-    for x, gt, ok in data:
-        mu, kappa, _ = _forward_batch(mlp, x)
-        total += float(angmf_nll_rows(mu[ok], kappa[ok], gt[ok]).sum())
-        count += int(ok.sum())
-        outs.append((mu[ok], kappa[ok], gt[ok]))
+def _evaluate(mlp, data, epoch, work=None):
+    """EpochStats from one forward per frame: mean nll over valid pixels, then errors.
+
+    Frame 0 is forwarded last, and that forward is returned with the stats
+    as ``(stats, fwd)``, so the next step on frame 0 can reuse it while the
+    weights and ``work`` are unchanged.  The nll terms are still added in
+    frame order.
+    """
+    outs = [None] * len(data)
+    for i in [*range(1, len(data)), 0]:
+        x, gt, ok = data[i]
+        fwd = _forward_batch(mlp, x, work)
+        outs[i] = (fwd[0][ok], fwd[1][ok], gt[ok])
+    total, count = 0.0, 0
+    for mu, kappa, gt in outs:
+        total += float(angmf_nll_rows(mu, kappa, gt).sum())
+        count += len(kappa)
     nll = total / count
     # before normalize, which would reject a NaN mu as bad input, not divergence
     if not math.isfinite(nll):
@@ -213,7 +244,7 @@ def _evaluate(mlp, data, epoch):
         raise NumericalError(f"kappa collapsed to 0 at every valid pixel at epoch {epoch}")
     # angmf eval's kernel on the float32 map NormalMap.from_vectors would store
     errs = [np.degrees(angle_between(normalize(mu).astype(np.float32), gt)) for mu, _, gt in outs]
-    return EpochStats(epoch=epoch, nll=nll, report=summarize(np.concatenate(errs)))
+    return EpochStats(epoch=epoch, nll=nll, report=summarize(np.concatenate(errs))), fwd
 
 
 def train(frames, config):
@@ -221,7 +252,8 @@ def train(frames, config):
 
     One RngState seeded from ``config.seed`` drives initialization and
     every per-step pixel selection in order, so a (frames, config) pair
-    fully determines the final weights bit for bit.
+    fully determines the final weights bit for bit.  All forwards share
+    one workspace, and each backward runs before the next forward.
     """
     frames = list(frames)
     if not frames:
@@ -232,7 +264,7 @@ def train(frames, config):
     data = [(f.features.reshape(-1, f.features.shape[-1]), f.gt.data.reshape(-1, 3).astype(np.float64),
              f.gt.valid.ravel()) for f in frames]
 
-    stats = []
+    stats, work, reuse = [], {}, None
     # a diverging run overflows in its matmuls and updates; the non-finite
     # kappa and nll checks report that, so numpy's warnings only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +274,9 @@ def train(frames, config):
                 acc_w = [np.zeros_like(w) for w in mlp.weights]
                 acc_b = [np.zeros_like(b) for b in mlp.biases]
                 for x, gt, valid in batch:
-                    fwd = _forward_batch(mlp, x)
+                    # the epoch-end forward of frame 0 has this step's weights
+                    fwd = reuse if reuse is not None else _forward_batch(mlp, x, work)
+                    reuse = None
                     kappa = fwd[1]
                     if not np.all(np.isfinite(kappa)):
                         raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
@@ -257,7 +291,8 @@ def train(frames, config):
                     mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
                     mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
 
-            stats.append(_evaluate(mlp, data, epoch))
+            epoch_stats, reuse = _evaluate(mlp, data, epoch, work)
+            stats.append(epoch_stats)
     return mlp, stats
 
 

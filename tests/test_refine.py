@@ -102,6 +102,32 @@ def test_forward_head_invariants_seeded():
     assert abs(p.kappa - kappa[17]) < 1e-15
 
 
+def _forward_bytes(fwd):
+    mu, kappa, (acts, z, r) = fwd
+    return [a.tobytes() for a in (mu, kappa, z, r, *acts)]
+
+
+def test_workspace_forward_matches_fresh_forward():
+    mlp = init_mlp(6, rng=RngState(44))
+    gen = np.random.default_rng(45)
+    x_small, x_large = gen.uniform(-1.0, 1.0, size=(37, 6)), gen.uniform(-1.0, 1.0, size=(1024, 6))
+    work = {}
+    small = _forward_batch(mlp, x_small, work)
+    want_small = _forward_bytes(_forward_batch(mlp, x_small))
+    assert _forward_bytes(small) == want_small
+    # a second row count gets buffers of its own and leaves the first forward intact
+    large = _forward_batch(mlp, x_large, work)
+    assert _forward_bytes(large) == _forward_bytes(_forward_batch(mlp, x_large))
+    assert _forward_bytes(small) == want_small
+    assert sorted(work) == [(l, n) for l in range(4) for n in (37, 1024)]
+    acts, z = large[2][0], large[2][1]
+    assert all(a is work[(l - 1, 1024)] for l, a in enumerate(acts) if l > 0) and z is work[(3, 1024)]
+    # the next forward of the same row count reuses, and so overwrites, them
+    again = _forward_batch(mlp, x_large[::-1].copy(), work)
+    assert again[2][1] is z
+    assert _forward_bytes(again) == _forward_bytes(_forward_batch(mlp, x_large[::-1].copy()))
+
+
 def test_forward_shape_error():
     mlp = init_mlp(6, hidden_dims=(8,), rng=RngState(3))
     with pytest.raises(ShapeError):
@@ -318,7 +344,7 @@ def test_evaluate_matches_normal_map_route():
 
     data = [(f.features.reshape(-1, 6), f.gt.data.reshape(-1, 3).astype(np.float64), f.gt.valid.ravel())
             for f in frames]
-    got = _evaluate(mlp, data, 7)
+    got, _ = _evaluate(mlp, data, 7)
 
     total, count, errs = 0.0, 0, []
     for f in frames:
@@ -421,17 +447,21 @@ def test_train_kappa_collapse_raises():
 
 
 def test_train_forwards_each_frame_twice_per_epoch(monkeypatch):
-    # one forward per training step, one per frame in the epoch-end evaluation
+    # one forward per training step, one per frame in the epoch-end
+    # evaluation, less the E - 1 steps on frame 0 that reuse the evaluation's
     calls = []
 
-    def counting(mlp, x):
-        calls.append(len(x))
-        return _forward_batch(mlp, x)
+    def counting(mlp, x, work=None):
+        assert work is not None
+        calls.append((len(x), id(work)))
+        return _forward_batch(mlp, x, work)
 
     monkeypatch.setattr(refine, "_forward_batch", counting)
     frames = make_dataset(3)
     train(frames, TrainConfig(seed=1, epochs=2, batch_size=2))
-    assert calls == [16 * 16] * (2 * 2 * 3)  # epochs * frames * 2, each a whole frame
+    assert len(calls) == 2 * 2 * 3 - (2 - 1) == 11
+    assert all(rows == 16 * 16 for rows, _ in calls)  # each a whole frame
+    assert len({work for _, work in calls}) == 1  # one workspace per run
 
 
 def test_train_empty_dataset():
