@@ -25,7 +25,7 @@ from .errors import (
     NormalizationError,
     NumericalError,
 )
-from .estimators import fit_angmf_mle, mean_direction, spherical_median
+from .estimators import KAPPA_CEILING, fit_angmf_mle, mean_direction, spherical_median
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
 from .sampling import sample_angmf, sample_vonmf
@@ -82,6 +82,17 @@ def _positive_int(text):
     v = int(text)  # argparse turns a ValueError into a usage error
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return v
+
+
+def _seed(text):
+    """An argparse type for seeds: the integers in [0, 2**64), which RngState takes unwrapped."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= v < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64): {text!r}")
     return v
 
 
@@ -164,7 +175,10 @@ def _cmd_fit(args):
     payload.update(iterations=report.iterations, converged=report.converged)
     _dump_json(payload, args.out_json)
     if not report.converged:
-        print(f"error: {args.estimator} did not converge after {report.iterations} iterations", file=sys.stderr)
+        stop = "did not converge"
+        if args.estimator == "mle" and report.params.kappa == KAPPA_CEILING:
+            stop = f"stopped at the kappa ceiling {KAPPA_CEILING}"
+        print(f"error: {args.estimator} {stop} after {report.iterations} iterations", file=sys.stderr)
         return EXIT_NUMERIC
     return 0
 
@@ -301,7 +315,7 @@ def build_parser():
     q.add_argument("--mu", required=True, type=_parse_direction, help="mean direction 'x,y,z'")
     q.add_argument("--kappa", required=True, type=_nonneg_float)
     q.add_argument("--n", required=True, type=int)
-    q.add_argument("--seed", required=True, type=int)
+    q.add_argument("--seed", required=True, type=_seed)
     q.add_argument("--out-csv", required=True)
     q.set_defaults(func=_cmd_sample)
 
@@ -321,7 +335,7 @@ def build_parser():
     q.add_argument("--kappa-map", required=True, type=_input_path)
     q.add_argument("--rs", default=0.4, type=float)
     q.add_argument("--beta", default=0.7, type=float)
-    q.add_argument("--seed", required=True, type=int)
+    q.add_argument("--seed", required=True, type=_seed)
     q.add_argument("--out-csv", required=True)
     q.set_defaults(func=_cmd_select_pixels)
 
@@ -331,7 +345,7 @@ def build_parser():
     q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
     q.add_argument("--samples", default=1000, type=_positive_int)
     q.add_argument("--trials", default=100, type=_positive_int)
-    q.add_argument("--seed", required=True, type=int)
+    q.add_argument("--seed", required=True, type=_seed)
     q.add_argument("--out-json", default=None)
     q.set_defaults(func=_cmd_simulate_boundary)
 
@@ -348,7 +362,7 @@ def build_parser():
     q.add_argument("--lr", default=1e-2, type=float)
     q.add_argument("--rs", default=0.4, type=float)
     q.add_argument("--beta", default=0.7, type=float)
-    q.add_argument("--seed", required=True, type=int)
+    q.add_argument("--seed", required=True, type=_seed)
     q.add_argument("--out-weights", default=None)
     q.add_argument("--out-csv", default=None)
     q.set_defaults(func=_cmd_refine_demo)

@@ -9,16 +9,19 @@ Densities on the unit sphere for mean direction ``mu`` and concentration
 
 Both reduce to the uniform density 1 / (4 pi) at kappa = 0.  The AngMF
 negative log likelihood drops the constant log(2 pi), so the density is
-recovered as exp(-nll) / (2 pi); the vonMF one drops log(4 pi) the same
-way.  Penalizing the angle itself (instead of its cosine) is what gives
-AngMF closed forms for the error-angle pdf, cdf and mean, and a gradient
-in kappa that vanishes exactly when kappa matches the observed mean
-angular error.
+exp(-nll) / (2 pi); the vonMF one drops log(4 pi) the same way.  Both
+pdfs are computed exactly so, from their nll: one formula per density.
+The AngMF error angle comes from ``sphere.angle_between``, the only
+arccos of a dot product in the package.  Penalizing the angle itself
+(instead of its cosine) is what gives AngMF closed forms for the
+error-angle pdf, cdf and mean, and a gradient in kappa that vanishes
+exactly when kappa matches the observed mean angular error.
 
 Numerical policy: dot products are clamped to [-1, 1] before acos on
 value paths and to +/-(1 - 1e-7) on gradient paths (flagged in the
 result); log(sinh k) goes through ``k + log1p(-exp(-2k)) - log 2`` above
-k = 20 and through a short Taylor series below 1e-4.
+k = 20 and through a short Taylor series below 1e-4; past the kappa whose
+square overflows, log(kappa^2 + 1) is 2 log kappa.
 """
 
 import math
@@ -82,11 +85,11 @@ class NllGradient:
     clamped: bool = False
 
 
-def _dot(mu, n):
+def _direction(n):
     n = np.asarray(n, dtype=np.float64)
     if n.shape != (3,):
         raise ShapeError(f"expected a single direction of shape (3,), got {n.shape}")
-    return float(np.clip(np.dot(mu, n), -1.0, 1.0))
+    return n
 
 
 def _log_sinh_over_k(k):
@@ -103,25 +106,21 @@ def _log_sinh_over_k(k):
     km = k[mid]
     out[mid] = np.log(np.sinh(km) / km)
     kb = k[big]
-    out[big] = kb + np.log1p(-np.exp(-2.0 * kb)) - math.log(2.0) - np.log(kb)
+    with np.errstate(over="ignore"):  # -2k overflows only where exp(-2k) is 0 anyway
+        out[big] = kb + np.log1p(-np.exp(-2.0 * kb)) - math.log(2.0) - np.log(kb)
     return out
 
 
 def _coth_minus_inv(k):
-    """coth(k) - 1/k, stable near 0 (series) and for large k."""
+    """coth(k) - 1/k, through a series below 1e-4, where the difference cancels."""
     k = np.asarray(k, dtype=np.float64)
     out = np.empty_like(k)
     small = k < 1e-4
-    big = k > 20.0
-    mid = ~(small | big)
     ks = k[small]
     # coth(k) - 1/k = k/3 - k^3/45 + 2 k^5/945 - k^7/4725 + O(k^9)
     out[small] = ks / 3.0 - ks**3 / 45.0 + 2.0 * ks**5 / 945.0 - ks**7 / 4725.0
-    km = k[mid]
-    out[mid] = 1.0 / np.tanh(km) - 1.0 / km
-    kb = k[big]
-    ez = np.exp(-2.0 * kb)
-    out[big] = 1.0 - 1.0 / kb + 2.0 * ez / (1.0 - ez)
+    km = k[~small]
+    out[~small] = 1.0 / np.tanh(km) - 1.0 / km
     return out
 
 
@@ -132,18 +131,14 @@ def _exp_neg_pi_k(k):
 
 
 def vonmf_pdf(params, n):
-    """von Mises-Fisher density at direction ``n``."""
-    t = _dot(params.mu, n)
-    k = params.kappa
-    log_c = float(_log_sinh_over_k(k))
-    return math.exp(k * t - log_c) / (4.0 * math.pi)
+    """von Mises-Fisher density at direction ``n``, ``exp(-vonmf_nll) / (4 pi)``."""
+    return math.exp(-vonmf_nll(params, n)) / (4.0 * math.pi)
 
 
 def vonmf_nll(params, n_gt):
     """Negative log likelihood of ``n_gt`` under vonMF, without the log(4 pi) constant."""
-    t = _dot(params.mu, n_gt)
-    k = params.kappa
-    return float(_log_sinh_over_k(k)) - k * t
+    t = float(np.clip(np.dot(params.mu, _direction(n_gt)), -1.0, 1.0))
+    return float(_log_sinh_over_k(params.kappa)) - params.kappa * t
 
 
 def vonmf_nll_grad(params, n_gt):
@@ -153,9 +148,7 @@ def vonmf_nll_grad(params, n_gt):
     projected out); ``d_kappa`` uses the stable coth(k) - 1/k form.
     """
     mu, k = params.mu, params.kappa
-    n = np.asarray(n_gt, dtype=np.float64)
-    if n.shape != (3,):
-        raise ShapeError(f"expected a single direction of shape (3,), got {n.shape}")
+    n = _direction(n_gt)
     raw = float(np.dot(mu, n))
     t = min(1.0, max(-1.0, raw))
     d_kappa = float(_coth_minus_inv(k)) - t
@@ -165,29 +158,36 @@ def vonmf_nll_grad(params, n_gt):
 
 
 def angmf_pdf(params, n):
-    """Angular von Mises-Fisher density at direction ``n``."""
-    t = _dot(params.mu, n)
-    k = params.kappa
-    alpha = math.acos(t)
-    return (k * k + 1.0) * math.exp(-k * alpha) / (2.0 * math.pi * (1.0 + math.exp(-k * math.pi)))
+    """Angular von Mises-Fisher density at direction ``n``, ``exp(-angmf_nll) / (2 pi)``."""
+    try:
+        return math.exp(-angmf_nll(params, n)) / (2.0 * math.pi)
+    except OverflowError:  # only at n = mu, where kappa^2 + 1 is past the float range too
+        return math.inf
 
 
 def angmf_nll(params, n_gt):
-    """Negative log likelihood of ``n_gt`` under AngMF, without the log(2 pi) constant."""
-    return float(angmf_nll_at(params.kappa, math.acos(_dot(params.mu, n_gt))))
+    """AngMF nll of ``n_gt`` without the log(2 pi) constant: one row of :func:`angmf_nll_rows`."""
+    return float(angmf_nll_rows(params.mu, params.kappa, _direction(n_gt)))
 
 
 def angmf_nll_at(kappa, alpha):
     """AngMF nll ``-log(kappa^2 + 1) + log(1 + exp(-kappa pi)) + kappa alpha`` at error angle ``alpha``.
 
-    Linear in alpha, so a mean nll is its value at the mean angle.
-    Broadcasts over array arguments.
+    Linear in alpha, so a mean nll is its value at the mean angle.  Past
+    ``_K2_FINITE``, where kappa^2 overflows, log(kappa^2 + 1) is 2 log kappa
+    to float resolution; kappa alpha overflows to +inf only where the true
+    nll is past the float range too.  Broadcasts over array arguments.
     """
-    return -np.log1p(kappa * kappa) + np.log1p(_exp_neg_pi_k(kappa)) + kappa * alpha
+    with np.errstate(over="ignore"):
+        log_norm = np.log1p(kappa * kappa)
+        big = np.greater(kappa, _K2_FINITE)
+        if np.any(big):
+            log_norm = np.where(big, 2.0 * np.log(np.maximum(kappa, 1.0)), log_norm)
+        return -log_norm + np.log1p(_exp_neg_pi_k(kappa)) + kappa * alpha
 
 
 def angmf_nll_rows(mu, kappa, n_gt):
-    """Per-row AngMF nll for (N, 3) ``mu`` and ``n_gt`` and (N,) ``kappa``."""
+    """Per-row AngMF nll for (N, 3) ``mu`` and ``n_gt`` and (N,) ``kappa``, or for one (3,) row."""
     return angmf_nll_at(kappa, angle_between(mu, n_gt))
 
 
@@ -209,9 +209,7 @@ def angmf_grad_rows(mu, kappa, n_gt):
 
 def angmf_nll_grad(params, n_gt):
     """Gradient of :func:`angmf_nll` in (mu, kappa); one row of :func:`angmf_grad_rows`."""
-    n = np.asarray(n_gt, dtype=np.float64)
-    if n.shape != (3,):
-        raise ShapeError(f"expected a single direction of shape (3,), got {n.shape}")
+    n = _direction(n_gt)
     d_mu, d_kappa, clamped = angmf_grad_rows(params.mu[None, :], np.array([params.kappa]), n[None, :])
     return NllGradient(d_mu=d_mu[0], d_kappa=float(d_kappa[0]), clamped=bool(clamped[0]))
 

@@ -12,8 +12,9 @@ Invalid pixels are stored as quiet NaN (a full NaN triplet for normals).
 Reads and writes round-trip bit for bit; any structural problem raises
 FormatError carrying the byte offset of the first offending value.
 
-CSV and JSON emitters for reports, curves and sample lists live here too
-so the CLI stays a thin argument-parsing shell.
+The CSV readers and writers of sample lists, sparsification curves and
+pixel selections live here too.  The CLI writes its JSON reports and the
+``refine-demo`` epoch CSV itself.
 """
 
 import math
@@ -156,10 +157,14 @@ def _read_map(path, magic, cls, tail):
         raise FormatError(f"{path}: {e}", offset=_HEADER.size + pixel_bytes * e.index) from None
 
 
-def write_normal_map(normal_map, path):
+def _write_map(path, magic, grid):
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC_NORMAL, normal_map.width, normal_map.height))
-        f.write(normal_map.data.astype("<f4", copy=False).tobytes())
+        f.write(_HEADER.pack(magic, grid.width, grid.height))
+        f.write(grid.data.astype("<f4", copy=False).tobytes())
+
+
+def write_normal_map(normal_map, path):
+    _write_map(path, MAGIC_NORMAL, normal_map)
 
 
 def read_normal_map(path):
@@ -167,9 +172,7 @@ def read_normal_map(path):
 
 
 def write_kappa_map(kappa_map, path):
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC_KAPPA, kappa_map.width, kappa_map.height))
-        f.write(kappa_map.data.astype("<f4", copy=False).tobytes())
+    _write_map(path, MAGIC_KAPPA, kappa_map)
 
 
 def read_kappa_map(path):

@@ -323,20 +323,14 @@ def load_weights(path):
     if len(buf) != expected:
         raise FormatError(f"{path}: payload is {len(buf) - head} bytes, expected {expected - head}",
                           offset=min(len(buf), expected))
-    weights, biases = [], []
+    arrays = []  # weights and biases, alternating, in file order
     off = head
     for l in range(n_layers):
-        n_w = dims[l] * dims[l + 1]
-        w = np.frombuffer(buf, dtype="<f4", count=n_w, offset=off).astype(np.float64)
-        if not np.all(np.isfinite(w)):
-            bad = int(np.flatnonzero(~np.isfinite(w))[0])
-            raise FormatError(f"{path}: non-finite weight in layer {l}", offset=off + 4 * bad)
-        weights.append(w.reshape(dims[l + 1], dims[l]))
-        off += 4 * n_w
-        b = np.frombuffer(buf, dtype="<f4", count=dims[l + 1], offset=off).astype(np.float64)
-        if not np.all(np.isfinite(b)):
-            bad = int(np.flatnonzero(~np.isfinite(b))[0])
-            raise FormatError(f"{path}: non-finite bias in layer {l}", offset=off + 4 * bad)
-        biases.append(b)
-        off += 4 * dims[l + 1]
-    return RefineMLP(weights=weights, biases=biases)
+        for what, shape in (("weight", (dims[l + 1], dims[l])), ("bias", (dims[l + 1],))):
+            a = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=off).astype(np.float64)
+            if not np.all(np.isfinite(a)):
+                bad = int(np.flatnonzero(~np.isfinite(a))[0])
+                raise FormatError(f"{path}: non-finite {what} in layer {l}", offset=off + 4 * bad)
+            arrays.append(a.reshape(shape))
+            off += 4 * a.size
+    return RefineMLP(weights=arrays[0::2], biases=arrays[1::2])

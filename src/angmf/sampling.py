@@ -86,6 +86,13 @@ def invert_error_cdf(kappa, u):
     return a if a.ndim else float(a)
 
 
+def _check_count(count):
+    count = int(count)
+    if count < 0:
+        raise DomainError(f"cannot draw {count} samples")
+    return count
+
+
 def _frame(mu, alpha, phi):
     e1, e2 = tangent_basis(mu)
     sin_a = np.sin(alpha)
@@ -106,10 +113,7 @@ def draw_angmf(mu, kappa, count, rng):
 
 def sample_angmf(params, count, rng):
     """Draw ``count`` exact AngMF samples as a (count, 3) array."""
-    count = int(count)
-    if count < 0:
-        raise DomainError(f"cannot draw {count} samples")
-    return draw_angmf(params.mu, params.kappa, count, rng)
+    return draw_angmf(params.mu, params.kappa, _check_count(count), rng)
 
 
 def sample_vonmf(params, count, rng):
@@ -119,9 +123,7 @@ def sample_vonmf(params, count, rng):
     ``t = 1 + log(u + (1 - u) exp(-2 kappa)) / kappa``; kappa = 0 falls
     back to a uniform cosine (uniform sphere sampling).
     """
-    count = int(count)
-    if count < 0:
-        raise DomainError(f"cannot draw {count} samples")
+    count = _check_count(count)
     k = params.kappa
     u = rng.uniform(count)
     phi = 2.0 * math.pi * rng.uniform(count)

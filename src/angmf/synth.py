@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
-from .sampling import draw_angmf
+from .sampling import _check_count, draw_angmf
 from .sphere import as_unit
 
 __all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
@@ -53,10 +53,15 @@ class TwoPlaneScene:
     def __post_init__(self):
         object.__setattr__(self, "normal_a", as_unit(self.normal_a))
         object.__setattr__(self, "normal_b", as_unit(self.normal_b))
-        if not 0.0 <= self.contamination < 0.5:
-            raise DomainError(f"contamination must lie in [0, 0.5), got {self.contamination}")
-        if not (math.isfinite(self.jitter_kappa) and self.jitter_kappa > 0.0):
-            raise DomainError(f"jitter_kappa must be finite and > 0, got {self.jitter_kappa}")
+        _check_corruption(self.contamination, self.jitter_kappa)
+
+
+def _check_corruption(contamination, jitter_kappa):
+    """The mixture share and jitter concentration bounds of scenes and frames."""
+    if not 0.0 <= contamination < 0.5:
+        raise DomainError(f"contamination must lie in [0, 0.5), got {contamination}")
+    if not (math.isfinite(jitter_kappa) and jitter_kappa > 0.0):
+        raise DomainError(f"jitter_kappa must be finite and > 0, got {jitter_kappa}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,7 @@ def sample_boundary_pixels(scene, rng, count):
     Choice uniforms come first (one per sample), then one jitter pass over
     all samples around their chosen base normals.
     """
-    count = int(count)
-    if count < 0:
-        raise DomainError(f"cannot draw {count} samples")
+    count = _check_count(count)
     pick_b = rng.uniform(count) < scene.contamination
     bases = np.where(pick_b[:, None], scene.normal_b, scene.normal_a)
     return draw_angmf(bases, scene.jitter_kappa, count, rng)
@@ -106,10 +109,7 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     if n_planes < 1 or n_planes > width:
         raise DomainError(f"{n_planes} planes do not fit in width {width}")
     normals = np.stack([as_unit(n) for n in plane_normals])
-    if not 0.0 <= contamination < 0.5:
-        raise DomainError(f"contamination must lie in [0, 0.5), got {contamination}")
-    if jitter_kappa is not None and not (math.isfinite(jitter_kappa) and jitter_kappa > 0.0):
-        raise DomainError(f"jitter_kappa must be finite and > 0, got {jitter_kappa}")
+    _check_corruption(contamination, 1.0 if jitter_kappa is None else jitter_kappa)  # None: no jitter
 
     strip = width // n_planes
     cols = np.arange(width)

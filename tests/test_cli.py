@@ -186,6 +186,34 @@ def test_sample_bad_flags_exit_2(tmp_path):
         assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+@pytest.mark.parametrize("command", [
+    ["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--out-csv", "s.csv"],
+    ["select-pixels", "--kappa-map", "k.map", "--out-csv", "sel.csv"],
+    ["simulate-boundary", "--trials", "1", "--samples", "5"],
+    ["refine-demo", "--width", "4", "--height", "4", "--frames", "1", "--epochs", "1"],
+], ids=lambda argv: argv[0])
+def test_seed_outside_u64_is_usage_error(tmp_path, monkeypatch, capsys, command, seed):
+    # RngState wraps seeds mod 2**64; the CLI takes only the seeds it does not wrap
+    monkeypatch.chdir(tmp_path)
+    mapio.write_kappa_map(KappaMap(np.ones((2, 2), dtype=np.float32)), "k.map")
+    with pytest.raises(SystemExit) as ei:
+        main(command + ["--seed", seed])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"angmf {command[0]}: error: argument --seed: must lie in [0, 2**64): {seed!r}"
+    assert not any(p.name.endswith(".csv") for p in tmp_path.iterdir())
+
+
+def test_seed_range_ends_are_accepted(tmp_path):
+    outs = []
+    for seed in ("0", str(2**64 - 1)):
+        outs.append(tmp_path / f"s{seed}.csv")
+        assert main(["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--seed", seed,
+                     "--out-csv", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() != outs[1].read_bytes()
+
+
 # -------------------------------------------------------------------- fit
 
 
@@ -237,7 +265,7 @@ def test_fit_mle_identical_samples_not_converged(tmp_path, capsys):
     out = capsys.readouterr()
     payload = json.loads(out.out)
     assert payload["converged"] is False
-    assert out.err == f"error: mle did not converge after {payload['iterations']} iterations\n"
+    assert out.err == f"error: mle stopped at the kappa ceiling 1000000.0 after {payload['iterations']} iterations\n"
 
 
 def test_fit_median_unreachable_tol_says_so(tmp_path, capsys):

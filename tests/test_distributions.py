@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,12 +135,13 @@ def test_vonmf_tiny_kappa_series():
 
 
 def test_vonmf_pdf_nll_consistency():
+    # the pdf is computed as exp(-nll) / (4 pi), so this holds bit for bit
     gen = np.random.default_rng(2)
-    for kappa in (0.0, 0.3, 1.0, 5.0, 30.0):
+    for kappa in (0.0, 1e-9, 3e-5, 0.3, 1.0, 5.0, 20.1, 30.0, 700.0, 1e6, 1e200, 1e308):
         mu = random_unit(gen)
         p = VonMFParams(mu, kappa)
-        for n in random_unit(gen, 5):
-            assert close(vonmf_pdf(p, n), math.exp(-vonmf_nll(p, n)) / (4.0 * math.pi), rel=1e-12)
+        for n in (-p.mu, *random_unit(gen, 20)):
+            assert vonmf_pdf(p, n) == math.exp(-vonmf_nll(p, n)) / (4.0 * math.pi)
 
 
 def test_vonmf_pdf_integrates_to_one():
@@ -188,12 +190,14 @@ def test_angmf_large_kappa_stable():
 
 
 def test_angmf_pdf_nll_consistency():
+    # the pdf is exp(-nll) / (2 pi) and the nll one row of the row kernel, both bit for bit
     gen = np.random.default_rng(4)
-    for kappa in (0.0, 0.3, 1.0, 5.0, 30.0):
+    for kappa in (0.0, 1e-9, 3e-5, 0.3, 1.0, 5.0, 20.1, 30.0, 700.0, 1e6, 1e154, 1e200, 1e308):
         mu = random_unit(gen)
         p = AngMFParams(mu, kappa)
-        for n in random_unit(gen, 5):
-            assert close(angmf_pdf(p, n), math.exp(-angmf_nll(p, n)) / (2.0 * math.pi), rel=1e-12)
+        for n in (-p.mu, *random_unit(gen, 20)):
+            assert angmf_pdf(p, n) == math.exp(-angmf_nll(p, n)) / (2.0 * math.pi)
+            assert angmf_nll(p, n) == angmf_nll_rows(p.mu[None, :], np.array([kappa]), n[None, :])[0]
 
 
 def test_angmf_nll_monotone_in_angle():
@@ -452,6 +456,64 @@ def test_grad_shape_errors():
         angmf_nll(p, np.ones(4))
     with pytest.raises(ShapeError):
         vonmf_pdf(VonMFParams(EZ, 1.0), np.ones(2))
+
+
+# -------------------------------------------------- one formula per density
+
+
+def test_angmf_pdf_at_mu_past_kappa_squared_overflow_is_inf():
+    # (kappa^2 + 1) / (2 pi) is past the float range there; exp(-nll) overflows with it
+    assert angmf_pdf(AngMFParams(EZ, 1e200), EZ) == math.inf
+    assert angmf_pdf(AngMFParams(EZ, 1e200), EX) == 0.0
+
+
+@pytest.mark.parametrize("kappa", [1e155, 1e200, 1e308])
+def test_angmf_nll_past_kappa_squared_overflow(kappa):
+    # log(kappa^2 + 1) is 2 log kappa there, so the nll is kappa alpha - 2 log kappa
+    alpha = np.append(np.linspace(0.0, math.pi, 257), 0.6435)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rows = angmf_nll_at(kappa, alpha)
+        per_row_kappa = angmf_nll_at(np.full_like(alpha, kappa), alpha)
+        scalars = np.array([angmf_nll_at(kappa, float(a)) for a in alpha])
+        with np.errstate(over="ignore"):
+            k_alpha = kappa * alpha
+    assert [str(w.message) for w in record] == []
+    assert np.array_equal(rows, per_row_kappa) and np.array_equal(rows, scalars)
+    assert not np.isnan(rows).any()
+    overflow = np.isinf(k_alpha)
+    assert np.array_equal(rows == math.inf, overflow)
+    want = k_alpha[~overflow] - 2.0 * math.log(kappa)
+    assert np.all(np.abs(rows[~overflow] - want) <= 1e-15 * np.abs(want))
+
+
+def test_angmf_nll_keeps_its_bits_below_kappa_squared_overflow():
+    gen = np.random.default_rng(22)
+    kappa = np.concatenate([gen.uniform(0.0, 50.0, 500), np.exp(gen.uniform(-30.0, 354.0, 500)),
+                            [math.sqrt(np.finfo(float).max)]])
+    alpha = gen.uniform(0.0, math.pi, kappa.size)
+    want = -np.log1p(kappa * kappa) + np.log1p(np.exp(-math.pi * kappa)) + kappa * alpha
+    assert np.array_equal(angmf_nll_at(kappa, alpha), want)
+    mixed = np.append(kappa, 1e200)
+    assert np.array_equal(angmf_nll_at(mixed, np.append(alpha, 1.0))[:-1], want)
+
+
+def test_vonmf_at_huge_kappa_raises_no_warnings():
+    p = VonMFParams(EZ, 1e308)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        for n in (EZ, EX, -EZ):
+            values = [vonmf_nll(p, n), vonmf_pdf(p, n), *vonmf_nll_grad(p, n).d_mu]
+            assert not any(map(math.isnan, values))
+            assert math.isfinite(vonmf_nll_grad(p, n).d_kappa)
+    assert [str(w.message) for w in record] == []
+
+
+def test_vonmf_dkappa_above_20_is_one_minus_inverse_kappa():
+    # coth(k) rounds to 1 from k = 20 on; at t = 0, d_kappa = coth(k) - 1/k
+    gen = np.random.default_rng(23)
+    for kappa in (20.0, 20.5, 40.0, *np.exp(gen.uniform(math.log(20.0), 709.0, 200)), np.finfo(float).max):
+        assert vonmf_nll_grad(VonMFParams(EZ, kappa), EX).d_kappa == 1.0 - 1.0 / kappa
 
 
 # ---------------------------------------------------------------- row nll

@@ -558,3 +558,15 @@ def test_load_weights_errors(tmp_path):
     with pytest.raises(FormatError) as ei:
         load_weights(nonfinite)
     assert ei.value.offset == head + 4
+    assert str(ei.value) == f"{nonfinite}: non-finite weight in layer 0 (byte offset {head + 4})"
+
+    # layer 0: 2x3 weights and 2 biases; layer 1: 4x2 weights and 4 biases
+    for what, layer, index in (("bias", 0, 7), ("weight", 1, 9), ("bias", 1, 18)):
+        buf = bytearray(raw)
+        buf[head + 4 * index : head + 4 * index + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        nonfinite.write_bytes(bytes(buf))
+        with pytest.raises(FormatError) as ei:
+            load_weights(nonfinite)
+        offset = head + 4 * index
+        assert ei.value.offset == offset
+        assert str(ei.value) == f"{nonfinite}: non-finite {what} in layer {layer} (byte offset {offset})"

@@ -26,6 +26,29 @@ def test_scene_validation():
         TwoPlaneScene(EZ, EX, 0.2, 0.0)
     with pytest.raises(DegenerateVector):
         TwoPlaneScene(EZ * 2.0, EX, 0.2, 50.0)
+    with pytest.raises(TypeError):  # only make_frame takes None for "no jitter"
+        TwoPlaneScene(EZ, EX, 0.2, None)
+
+
+@pytest.mark.parametrize("contamination, jitter_kappa, message", [
+    (0.5, 50.0, "contamination must lie in [0, 0.5), got 0.5"),
+    (-0.01, 50.0, "contamination must lie in [0, 0.5), got -0.01"),
+    (math.nan, 50.0, "contamination must lie in [0, 0.5), got nan"),
+    (0.2, 0.0, "jitter_kappa must be finite and > 0, got 0.0"),
+    (0.2, math.inf, "jitter_kappa must be finite and > 0, got inf"),
+    (0.9, -1.0, "contamination must lie in [0, 0.5), got 0.9"),
+])
+def test_scene_and_frame_share_corruption_bounds(contamination, jitter_kappa, message):
+    with pytest.raises(DomainError) as scene_error:
+        TwoPlaneScene(EZ, EX, contamination, jitter_kappa)
+    with pytest.raises(DomainError) as frame_error:
+        make_frame(8, 4, [EZ, EX], RngState(0), jitter_kappa=jitter_kappa, contamination=contamination)
+    assert str(scene_error.value) == str(frame_error.value) == message
+
+
+def test_negative_draw_counts_share_one_message():
+    with pytest.raises(DomainError, match=r"^cannot draw -3 samples$"):
+        sample_boundary_pixels(TwoPlaneScene(EZ, EX, 0.2, 50.0), RngState(0), -3)
 
 
 def test_boundary_pixels_unit_and_deterministic():
