@@ -291,8 +291,15 @@ def _cmd_refine_demo(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a rejection as one ``<prog>: error: ...`` line, without the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="angmf", description=__doc__)
+    p = _Parser(prog="angmf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("eval", help="error metrics between two normal maps")

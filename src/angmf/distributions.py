@@ -17,11 +17,12 @@ arccos of a dot product in the package.  Penalizing the angle itself
 error-angle pdf, cdf and mean, and a gradient in kappa that vanishes
 exactly when kappa matches the observed mean angular error.
 
-Numerical policy: dot products are clamped to [-1, 1] before acos on
-value paths and to +/-(1 - 1e-7) on gradient paths (flagged in the
-result); log(sinh k) goes through ``k + log1p(-exp(-2k)) - log 2`` above
-k = 20 and through a short Taylor series below 1e-4; past the kappa whose
-square overflows, log(kappa^2 + 1) is 2 log kappa.
+Numerical policy: dot products are clamped to [-1, 1] before acos, and
+gradients flag rows whose dot product left that range.  The AngMF mu
+gradient is -kappa times the unit tangent of ``sphere.log_map``.  The
+vonMF nll is ``kappa (1 - t) + log(sinh k / k) - k``, whose last term is
+``log(-expm1(-2k) / k) - log 2``, or a short Taylor series below 1e-4;
+past the kappa whose square overflows, log(kappa^2 + 1) is 2 log kappa.
 """
 
 import math
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .sphere import angle_between, as_unit, dot3
+from .sphere import angle_between, as_unit, dot3, log_map
 
 __all__ = [
     "VonMFParams",
@@ -50,8 +51,6 @@ __all__ = [
     "expected_angular_error",
 ]
 
-# Gradient-path clamp for the dot product; acos is singular at +/-1.
-GRAD_DOT_CLAMP = 1.0 - 1e-7
 _K2_FINITE = math.sqrt(np.finfo(np.float64).max)  # the largest kappa whose square is finite
 
 
@@ -92,22 +91,18 @@ def _direction(n):
     return n
 
 
-def _log_sinh_over_k(k):
-    """log(sinh(k) / k), stable over the whole kappa range (0 at k = 0)."""
+def _log_sinh_over_k_minus_k(k):
+    """log(sinh(k) / k) - k = log((1 - exp(-2k)) / 2k), stable over the whole kappa range (0 at k = 0)."""
     k = np.asarray(k, dtype=np.float64)
     out = np.empty_like(k)
     small = k < 1e-4
-    big = k > 20.0
-    mid = ~(small | big)
     ks = k[small]
     k2 = ks * ks
     # sinh(k)/k = 1 + k^2/6 + k^4/120 + k^6/5040 + O(k^8)
-    out[small] = np.log1p(k2 / 6.0 + k2 * k2 / 120.0 + k2 * k2 * k2 / 5040.0)
-    km = k[mid]
-    out[mid] = np.log(np.sinh(km) / km)
-    kb = k[big]
-    with np.errstate(over="ignore"):  # -2k overflows only where exp(-2k) is 0 anyway
-        out[big] = kb + np.log1p(-np.exp(-2.0 * kb)) - math.log(2.0) - np.log(kb)
+    out[small] = np.log1p(k2 / 6.0 + k2 * k2 / 120.0 + k2 * k2 * k2 / 5040.0) - ks
+    kl = k[~small]
+    with np.errstate(over="ignore"):  # -2k overflows only where expm1(-2k) is -1 anyway
+        out[~small] = np.log(-np.expm1(-2.0 * kl) / kl) - math.log(2.0)
     return out
 
 
@@ -132,13 +127,17 @@ def _exp_neg_pi_k(k):
 
 def vonmf_pdf(params, n):
     """von Mises-Fisher density at direction ``n``, ``exp(-vonmf_nll) / (4 pi)``."""
-    return math.exp(-vonmf_nll(params, n)) / (4.0 * math.pi)
+    nll = vonmf_nll(params, n)
+    try:
+        return math.exp(-nll) / (4.0 * math.pi)
+    except OverflowError:  # only near n = mu past kappa = 9e307, where the density is still finite
+        return math.exp(-nll - math.log(4.0 * math.pi))
 
 
 def vonmf_nll(params, n_gt):
     """Negative log likelihood of ``n_gt`` under vonMF, without the log(4 pi) constant."""
     t = float(np.clip(np.dot(params.mu, _direction(n_gt)), -1.0, 1.0))
-    return float(_log_sinh_over_k(params.kappa)) - params.kappa * t
+    return params.kappa * (1.0 - t) + float(_log_sinh_over_k_minus_k(params.kappa))
 
 
 def vonmf_nll_grad(params, n_gt):
@@ -194,17 +193,14 @@ def angmf_nll_rows(mu, kappa, n_gt):
 def angmf_grad_rows(mu, kappa, n_gt):
     """Per-row AngMF nll gradient ``(d_mu, d_kappa, clamped)`` for the inputs of ``angmf_nll_rows``.
 
-    ``d_mu`` is tangent to mu.  ``d_kappa = acos(mu . n_gt) - E[alpha]``
-    vanishes exactly when kappa explains the observed angle.  Rows whose
-    dot product is clamped to +/-(1 - 1e-7) on the mu path are flagged.
+    ``d_mu = -kappa u``, with ``u`` the unit tangent of :func:`sphere.log_map`
+    from mu toward n_gt.  ``d_kappa = acos(mu . n_gt) - E[alpha]``
+    vanishes exactly when kappa explains the observed angle.  Rows with
+    |mu . n_gt| > 1 are flagged.
     """
     d_kappa = angle_between(mu, n_gt) - expected_angular_error(kappa)
-    t_raw = dot3(mu, n_gt)  # only for the mu path's tighter clamp
-    tg = np.clip(t_raw, -GRAD_DOT_CLAMP, GRAD_DOT_CLAMP)
-    sin_a = np.sqrt(1.0 - tg * tg)
-    d_mu = (-kappa / sin_a)[:, None] * (n_gt - tg[:, None] * mu)
-    d_mu = d_mu - dot3(d_mu, mu)[:, None] * mu
-    return d_mu, d_kappa, np.abs(t_raw) > GRAD_DOT_CLAMP
+    d_mu = -kappa[:, None] * log_map(mu, n_gt)[1]
+    return d_mu, d_kappa, np.abs(dot3(mu, n_gt)) > 1.0
 
 
 def angmf_nll_grad(params, n_gt):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .distributions import AngMFParams, angmf_nll_at, expected_angular_error
 from .errors import DegenerateResultant, EmptyBatch, ShapeError
-from .sphere import log_map, normalize, tangent_basis
+from .sphere import dot3, log_map, normalize, tangent_basis
 
 __all__ = [
     "mean_direction",
@@ -49,13 +49,8 @@ class SphericalMedianReport:
     iterations: int
     converged: bool
     grad_norm: float
-
-
-def _start_direction(s):
-    try:
-        return mean_direction(s)
-    except DegenerateResultant:
-        return s[0].copy()
+    start_mean_angle: float  # mean angle to the samples from the start direction
+    mean_angle: float  # mean angle to the samples from ``direction``
 
 
 def _tangent_newton_step(mu, u, cot, pull):
@@ -69,8 +64,8 @@ def _tangent_newton_step(mu, u, cot, pull):
     step small enough to trust.
     """
     e1, e2 = tangent_basis(mu)
-    w1 = u @ e1
-    w2 = u @ e2
+    w1 = dot3(u, e1)
+    w2 = dot3(u, e2)
     h11 = float(np.sum(cot * w2 * w2))
     h22 = float(np.sum(cot * w1 * w1))
     h12 = float(-np.sum(cot * w1 * w2))
@@ -112,19 +107,23 @@ def spherical_median(samples, tol=1e-8, full_output=False):
     gradient test below would sit under the noise floor at high
     concentration.
 
-    Convergence means the summed tangent gradient has norm below ``tol``
-    (or meets the subgradient bound at a sample point).  With
-    ``full_output`` returns (direction, SphericalMedianReport).
+    The start is the mean direction, or the first sample where the
+    samples cancel out.  Convergence means the summed tangent gradient has
+    norm below ``tol`` (or meets the subgradient bound at a sample point).
+    With ``full_output`` returns (direction, SphericalMedianReport).
     """
     s = _as_samples(samples)
-    mu = _start_direction(s)
+    try:
+        mu = mean_direction(s)
+    except DegenerateResultant:
+        mu = s[0].copy()
 
     n = s.shape[0]
     iterations = 0
     converged = False
     grad_norm = math.inf
     alpha, u = log_map(mu, s)
-    f_mu = float(np.sum(alpha))
+    f_mu = f_start = float(np.sum(alpha))
     stalled = False
     for iterations in range(1, MAX_ITER + 1):
         # samples (anti)coincident with the iterate have no usable tangent;
@@ -181,7 +180,7 @@ def spherical_median(samples, tol=1e-8, full_output=False):
             stalled = True
 
     if full_output:
-        return mu, SphericalMedianReport(mu, iterations, converged, grad_norm)
+        return mu, SphericalMedianReport(mu, iterations, converged, grad_norm, f_start / n, f_mu / n)
     return mu
 
 
@@ -240,17 +239,14 @@ def fit_angmf_mle(samples, tol=1e-8):
     the nll at (mean direction, kappa = 1), at (median, kappa = 1) and at
     the fit.
     """
-    s = _as_samples(samples)
-    start_alpha = float(np.mean(log_map(_start_direction(s), s)[0]))
-    mu, med = spherical_median(s, tol=tol, full_output=True)
-    mean_alpha = float(np.mean(log_map(mu, s)[0]))
-    kappa, steps, residual = _kappa_root(mean_alpha)
+    mu, med = spherical_median(samples, tol=tol, full_output=True)
+    kappa, steps, residual = _kappa_root(med.mean_angle)
     converged = med.converged and (kappa == 0.0 or (kappa < KAPPA_CEILING and abs(residual) < tol))
-    f = float(angmf_nll_at(kappa, mean_alpha))
+    f = float(angmf_nll_at(kappa, med.mean_angle))
     return FitReport(
         params=AngMFParams(mu=mu, kappa=kappa),
         final_nll=f,
         iterations=med.iterations + steps,
         converged=converged,
-        nll_history=np.array([angmf_nll_at(1.0, start_alpha), angmf_nll_at(1.0, mean_alpha), f]),
+        nll_history=np.array([angmf_nll_at(1.0, med.start_mean_angle), angmf_nll_at(1.0, med.mean_angle), f]),
     )

@@ -11,7 +11,6 @@ numpy does slowly, but their rounding is plain: they add from +0.0 and
 then the products in order, left to right.  ``dot3`` takes exactly those
 steps, so it gives the same number bit for bit, only faster.  Grouping
 from the right, ``p0 + (p1 + p2)``, rounds differently on some rows.
-``log_map`` keeps its matrix products: they are not bit-equal to these.
 """
 
 import numpy as np
@@ -96,16 +95,15 @@ def log_map(mu, s):
     ``alpha = atan2(|perp|, t)`` and ``u = perp / |perp|``.  ``acos(t)``
     and ``sqrt(1 - t^2)`` lose half their digits at small angles; here the
     absolute error stays near float64 epsilon, so even a 1e-9 angle keeps
-    six or more digits.
-    ``perp`` is formed as one (N, 3) x (3, 3) product with the tangent
-    projector ``I - mu mu^T``.  Rows at or opposite mu have no tangent
-    direction: their u is meaningless and callers must mask them.
+    six or more digits.  ``mu`` is one (3,) direction or one per row.
+    Rows at or opposite mu have no tangent direction; their u is 0.
     """
-    t = s @ mu
-    perp = s @ (np.eye(3) - np.outer(mu, mu))
-    sin_a = np.sqrt(np.einsum("ij,ij->i", perp, perp))
-    # the floor only keeps 0/0 out of those rows
-    u = perp / np.maximum(sin_a, np.finfo(np.float64).tiny)[:, None]
+    t = dot3(s, mu)
+    perp = s - t[..., None] * mu
+    sin_a = np.sqrt(dot3(perp, perp))
+    # at s = +/-mu rounding alone leaves |perp| up to about 7 eps when |mu|
+    # is UNIT_ROUNDING off 1; rows below 4 UNIT_ROUNDING get u = perp / inf = 0
+    u = perp / np.where(sin_a > 4.0 * UNIT_ROUNDING, sin_a, np.inf)[..., None]
     return np.arctan2(sin_a, t), u
 
 

@@ -28,6 +28,7 @@ Draw order from the RngState (the determinism contract):
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,9 @@ class TwoPlaneScene:
 
 def _check_corruption(contamination, jitter_kappa):
     """The mixture share and jitter concentration bounds of scenes and frames."""
-    if not 0.0 <= contamination < 0.5:
+    if not (isinstance(contamination, numbers.Real) and 0.0 <= contamination < 0.5):
         raise DomainError(f"contamination must lie in [0, 0.5), got {contamination}")
-    if not (math.isfinite(jitter_kappa) and jitter_kappa > 0.0):
+    if not (isinstance(jitter_kappa, numbers.Real) and math.isfinite(jitter_kappa) and jitter_kappa > 0.0):
         raise DomainError(f"jitter_kappa must be finite and > 0, got {jitter_kappa}")
 
 

@@ -127,6 +127,13 @@ def test_vonmf_large_kappa_stable():
     assert vonmf_pdf(p, -EZ) == 0.0  # underflow to zero, not NaN
 
 
+@pytest.mark.parametrize("kappa", [1e3, 1e15, 1e17, 1e20, 1e100])
+def test_vonmf_nll_at_mu_for_huge_kappa(kappa):
+    # log(sinh k / k) - k t cancels to nothing at t = 1; the nll there is
+    # -log 2k + log1p(-exp(-2k)), and exp(-2k) is 0 in floats at these kappas
+    assert close(vonmf_nll(VonMFParams(EZ, kappa), EZ), -math.log(2.0 * kappa), rel=1e-15)
+
+
 def test_vonmf_tiny_kappa_series():
     p = VonMFParams(EZ, 1e-6)
     assert close(vonmf_nll(p, EX), LSK_1EM6, rel=1e-10)
@@ -431,13 +438,21 @@ def test_angmf_dkappa_is_alpha_minus_mean():
         assert close(g.d_kappa, alpha - expected_angular_error(kappa), rel=1e-14)
 
 
-def test_angmf_grad_clamped_flag():
-    p = AngMFParams(EZ, 3.0)
+def test_angmf_grad_at_and_near_mu():
+    # d_mu = -kappa u keeps its length kappa at any small angle, and is 0 at
+    # n = mu, where the nll has its kink
+    p = AngMFParams(EZ, 10.0)
     g = angmf_nll_grad(p, EZ)
-    assert g.clamped
-    assert np.all(np.isfinite(g.d_mu))
-    n = normalize([0.05, 0.0, 1.0])
-    assert not angmf_nll_grad(p, n).clamped
+    assert np.all(np.isfinite(g.d_mu)) and np.all(g.d_mu == 0.0)
+    assert not g.clamped
+    gen = np.random.default_rng(9)
+    mu = random_unit(gen)
+    assert np.all(angmf_nll_grad(AngMFParams(mu, 10.0), mu).d_mu == 0.0)
+    for alpha in (1e-7, 1e-5, 1e-4, 4e-4):
+        g = angmf_nll_grad(p, np.array([math.sin(alpha), 0.0, math.cos(alpha)]))
+        assert not g.clamped
+        assert close(float(np.linalg.norm(g.d_mu)), 10.0, rel=1e-12)
+        assert close(float(g.d_mu[0]), -10.0, rel=1e-12)
 
 
 def test_vonmf_grad_not_clamped_at_pole():

@@ -18,7 +18,7 @@ a 20% second cluster, and the simulate cases hash ``simulate-boundary``
 reports.  The ``expected-error`` case hashes its printed lines and its
 JSON at kappa = 0, 1e-17, 5 and 1e308.
 
-The error cases pin the exit code and the last stderr line of each
+The error cases pin the exit code and the one stderr line of each
 failing input the CLI reports: argparse rejections, domain and shape
 checks, format errors with their byte offsets and numerical failures.
 They are written out below rather than hashed, since their text does not
@@ -30,11 +30,12 @@ avoid BLAS products (they use only elementwise ufuncs, sorts and pairwise
 sums), but numpy's SIMD exp, log, sin, cos and arccos round differently
 with and without AVX-512.  Their digests are therefore keyed by a
 fingerprint of those ufuncs' bits.  ``refine-demo`` also goes through the
-MLP's matrix products, and ``fit --estimator median|mle`` and
-``simulate-boundary`` through ``log_map``'s; their bits depend on the
-BLAS kernel, so these digests are keyed by the ufunc fingerprint plus
+MLP's matrix products, whose bits depend on the BLAS kernel, and ``fit
+--estimator median|mle`` and ``simulate-boundary`` through the 3-vector
+``np.dot`` and ``np.linalg.norm`` calls of the median's loop, which are
+BLAS calls too.  These digests are keyed by the ufunc fingerprint plus
 the core name of numpy's bundled OpenBLAS, and they run on one BLAS
-thread, since the thread count moves those bits too.  A host whose key
+thread, since the thread count moves the matrix products' bits too.  A host whose key
 has no entry, or whose OpenBLAS does not report a core name, skips those
 cases.  After a deliberate output change, rewrite the entries of this
 host, of the non-AVX-512 kernels and of the Haswell BLAS core with
@@ -124,7 +125,7 @@ SAMPLE = ["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--out-csv", "o
 SELECT = ["select-pixels", "--kappa-map", "k.map", "--out-csv", "o.csv"]
 SIMULATE = ["simulate-boundary", "--trials", "2", "--samples", "10"]
 REFINE = ["refine-demo", "--width", "8", "--height", "8", "--frames", "2", "--epochs", "2"]
-# name: (argv, exit code, last stderr line), run where ERROR_FILES were written
+# name: (argv, exit code, the whole of stderr but its newline), run where ERROR_FILES were written
 ERRORS = {
     "sample-seed-word": (SAMPLE + ["--seed", "abc"], 2,
                          "angmf sample: error: argument --seed: invalid int value: 'abc'"),
@@ -370,14 +371,14 @@ def test_golden_blas_digest(tmp_path, golden_blas, case):
 
 
 
-def _exit_and_last_stderr_line(argv):
+def _exit_and_stderr(argv):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse rejections
             code = e.code
-    return code, stderr.getvalue().splitlines()[-1]
+    return code, stderr.getvalue()
 
 
 @pytest.mark.parametrize("case", ERRORS)
@@ -386,7 +387,7 @@ def test_error_path(tmp_path, monkeypatch, case):
         (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)  # messages name the files as given
     argv, code, line = ERRORS[case]
-    assert _exit_and_last_stderr_line(argv) == (code, line)
+    assert _exit_and_stderr(argv) == (code, line + "\n")
 
 def test_every_manifest_entry_lists_exactly_the_cases():
     # a ufunc fingerprint alone keys CASES; "<fingerprint> <core>" keys BLAS_CASES

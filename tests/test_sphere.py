@@ -251,3 +251,14 @@ def test_log_map_angles_and_tangents():
     # exp map back: cos(alpha) mu + sin(alpha) u reproduces each sample
     back = np.cos(alpha[:50, None]) * mu + np.sin(alpha[:50, None]) * u[:50]
     assert np.allclose(back, s[:50], rtol=0.0, atol=1e-15)
+    assert np.all(u[50:] == 0.0)  # no tangent direction at or opposite mu
+
+
+def test_log_map_per_row_mu_matches_row_loop():
+    gen = np.random.default_rng(23)
+    mu = random_unit(gen, 40)
+    s = np.vstack([random_unit(gen, 38), mu[38], -mu[39]])
+    alpha, u = log_map(mu, s)
+    for i in range(40):
+        a_i, u_i = log_map(mu[i], s[i])
+        assert alpha[i] == a_i and np.array_equal(u[i], u_i)

@@ -26,8 +26,10 @@ def test_scene_validation():
         TwoPlaneScene(EZ, EX, 0.2, 0.0)
     with pytest.raises(DegenerateVector):
         TwoPlaneScene(EZ * 2.0, EX, 0.2, 50.0)
-    with pytest.raises(TypeError):  # only make_frame takes None for "no jitter"
+    with pytest.raises(DomainError):  # only make_frame takes None for "no jitter"
         TwoPlaneScene(EZ, EX, 0.2, None)
+    with pytest.raises(DomainError):
+        TwoPlaneScene(EZ, EX, None, 50.0)
 
 
 @pytest.mark.parametrize("contamination, jitter_kappa, message", [
