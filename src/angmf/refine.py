@@ -19,12 +19,18 @@ frame 0 last, and the next epoch's first step, on frame 0 with the same
 weights, reuses its forward, so a run makes 2·E·F − (E − 1) whole-frame
 forwards for E epochs of F frames.
 
-A run keeps one workspace of float64 layer outputs, one buffer per
-(layer, rows), and every forward writes its matrix products into it.  A
-forward's layer activations and raw head output alias those buffers and
-stay valid only until the next forward of as many rows, so each backward
-runs before the next forward.  The single-pixel ``forward`` and
-``backward`` use no workspace.
+Layer products run in the dtype of the features: float32 features give
+float32 matmuls, bias adds and ReLUs, any other input float64.  Training
+casts each frame's features to float32 once per run, as the paper trains
+in float32, while the master weights, their updates and the AngMF head
+(mu, kappa, the nll and its gradient) stay float64; the backward casts
+the head gradient and the weights to the activations' dtype for its
+products.  A run keeps one workspace of layer outputs in that dtype, one
+buffer per (layer, rows), and every forward writes its matrix products
+into it.  A forward's layer activations and raw head output alias those
+buffers and stay valid only until the next forward of as many rows, so
+each backward runs before the next forward.  The single-pixel ``forward``
+and ``backward`` run in float64 and use no workspace.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
@@ -120,12 +126,16 @@ def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
 def _forward_batch(mlp, x, work=None):
     """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, z, r)): layer inputs, raw head output, |v|.
 
+    The layer products run in float32 for float32 ``x`` and in float64 for
+    any other input; ``mu``, ``kappa`` and ``r`` are float64 either way.
     ``work`` is an optional workspace dict that maps (layer, N) to that
-    layer's float64 output buffer; missing buffers are added on first use.
-    With a workspace, ``acts[1:]`` and ``z`` alias its buffers and stay
-    valid only until the next forward of N rows on it.
+    layer's output buffer; missing buffers are added on first use, in the
+    dtype of the first forward that needs them.  With a workspace,
+    ``acts[1:]`` and ``z`` alias its buffers and stay valid only until the
+    next forward of N rows on it.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[1]:
         raise ShapeError(f"expected (N, {mlp.weights[0].shape[1]}) features, got {x.shape}")
     acts = [x]
@@ -135,12 +145,12 @@ def _forward_batch(mlp, x, work=None):
         if work is not None:
             out = work.get((l, len(x)))
             if out is None:
-                out = work[(l, len(x))] = np.empty((len(x), w.shape[0]))
-        z = np.matmul(acts[l], w.T, out=out)
-        z += b
+                out = work[(l, len(x))] = np.empty((len(x), w.shape[0]), dtype=x.dtype)
+        z = np.matmul(acts[l], w.T.astype(x.dtype, copy=False), out=out)
+        z += b.astype(x.dtype, copy=False)
         if l < last:
             acts.append(np.maximum(z, 0.0, out=z))
-    v = z[:, :3]
+    v = z[:, :3]  # dot3 and the division below widen float32 exactly
     r = np.sqrt(dot3(v, v))
     if np.any(r < 1e-12):
         raise NormalizationError("direction head collapsed below 1e-12")
@@ -177,6 +187,8 @@ def _backward_batch(mlp, rows, fwd, n_gt):
         raise EmptyBatch("cannot backpropagate an empty batch")
     delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], z[rows, 3]) / len(rows)
 
+    dtype = acts[0].dtype  # the forward's product dtype; the head above is float64
+    delta = delta.astype(dtype, copy=False)
     d_ws = [None] * len(mlp.weights)
     d_bs = [None] * len(mlp.weights)
     for l in range(len(mlp.weights) - 1, -1, -1):
@@ -184,7 +196,7 @@ def _backward_batch(mlp, rows, fwd, n_gt):
         d_ws[l] = delta.T @ a
         d_bs[l] = delta.sum(axis=0)
         if l > 0:  # a ReLU output is > 0 exactly where its pre-activation is
-            delta = (delta @ mlp.weights[l]) * (a > 0.0)
+            delta = (delta @ mlp.weights[l].astype(dtype, copy=False)) * (a > 0.0)
     return d_ws, d_bs
 
 
@@ -261,8 +273,9 @@ def train(frames, config):
     rng = RngState(config.seed)
     mlp = init_mlp(frames[0].features.shape[-1], rng=rng)
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
-    data = [(f.features.reshape(-1, f.features.shape[-1]), f.gt.data.reshape(-1, 3).astype(np.float64),
-             f.gt.valid.ravel()) for f in frames]
+    # float32 features make every forward and backward product float32
+    data = [(f.features.reshape(-1, f.features.shape[-1]).astype(np.float32),
+             f.gt.data.reshape(-1, 3).astype(np.float64), f.gt.valid.ravel()) for f in frames]
 
     stats, work, reuse = [], {}, None
     # a diverging run overflows in its matmuls and updates; the non-finite

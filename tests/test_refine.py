@@ -31,6 +31,7 @@ from angmf.refine import (
 )
 from angmf.mapio import NormalMap
 from angmf.metrics import summarize, valid_errors
+from angmf.pixel_select import SelectionConfig, select_pixels
 from angmf.refine import _backward_batch, _evaluate, _forward_batch
 from angmf.sphere import normalize
 from angmf.synth import SyntheticFrame
@@ -120,12 +121,52 @@ def test_workspace_forward_matches_fresh_forward():
     assert _forward_bytes(large) == _forward_bytes(_forward_batch(mlp, x_large))
     assert _forward_bytes(small) == want_small
     assert sorted(work) == [(l, n) for l in range(4) for n in (37, 1024)]
+    assert all(buf.dtype == np.float64 for buf in work.values())  # float64 input keeps float64 products
     acts, z = large[2][0], large[2][1]
     assert all(a is work[(l - 1, 1024)] for l, a in enumerate(acts) if l > 0) and z is work[(3, 1024)]
     # the next forward of the same row count reuses, and so overwrites, them
     again = _forward_batch(mlp, x_large[::-1].copy(), work)
     assert again[2][1] is z
     assert _forward_bytes(again) == _forward_bytes(_forward_batch(mlp, x_large[::-1].copy()))
+
+
+def test_float32_forward_matches_float32_reference():
+    # float32 features run every layer product, bias add and ReLU in float32;
+    # the head's mu and kappa come out float64
+    mlp = init_mlp(6, rng=RngState(46))
+    x = np.random.default_rng(47).uniform(-1.0, 1.0, size=(300, 6)).astype(np.float32)
+    work = {}
+    mu, kappa, (acts, z, r) = _forward_batch(mlp, x, work)
+    h, want = x, [x]
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        pre = h @ w.T.astype(np.float32) + b.astype(np.float32)
+        h = pre if l == len(mlp.weights) - 1 else np.maximum(pre, 0.0)
+        want.append(h)
+    for got, ref in zip([*acts, z], want):
+        assert got.dtype == np.float32 and np.array_equal(got, ref)
+    assert all(buf.dtype == np.float32 for buf in work.values())
+    assert mu.dtype == kappa.dtype == r.dtype == np.float64
+    assert np.array_equal(kappa, modified_elu(want[-1][:, 3].astype(np.float64)))
+    assert np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)) < 1e-15
+
+
+def test_float32_step_gradient_near_float64():
+    # one training step's gradient on a seeded 32x32 frame: float32 products
+    # against float64 ones on the same selected rows.  The flattened
+    # gradients' relative distance read 2.1e-7 here (a few float32 ulps; at
+    # most 6.4e-7 over 20 seeds, SkylakeX, Haswell and Sandybridge kernels)
+    planes = [normalize([0.3, -0.2, 0.93]), normalize([-0.5, 0.1, 0.8]), normalize([0.1, 0.6, 0.79])]
+    f = make_frame(32, 32, planes, RngState(0))
+    x, gt = f.features.reshape(-1, 6), f.gt.data.reshape(-1, 3).astype(np.float64)
+    rng = RngState(1000)
+    mlp = init_mlp(6, rng=rng)
+    fwd64 = _forward_batch(mlp, x)
+    idx = select_pixels(expected_angular_error(fwd64[1]), f.gt.valid.ravel(), SelectionConfig(), rng).all_indices
+    g64 = _flatten(_backward_batch(mlp, idx, fwd64, gt[idx]))
+    grads32 = _backward_batch(mlp, idx, _forward_batch(mlp, x.astype(np.float32)), gt[idx])
+    assert all(g.dtype == np.float32 for g in grads32[0] + grads32[1])
+    g32 = _flatten(grads32).astype(np.float64)
+    assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) < 1e-6
 
 
 def test_forward_shape_error():
@@ -299,7 +340,7 @@ def test_backward_activation_mask_matches_preactivation_mask():
     mu, kappa, (acts, z, r) = _forward_batch(mlp, x)
     ref_acts, pre = _reference_forward(mlp, x)
     for a, b in zip(acts, ref_acts):
-        assert np.array_equal(a, b)
+        assert a.dtype == np.float64 and np.array_equal(a, b)
     assert np.array_equal(z, pre[-1])
 
     # a fused multiply-add BLAS can round a sum of underflowing products to
@@ -448,20 +489,24 @@ def test_train_kappa_collapse_raises():
 
 def test_train_forwards_each_frame_twice_per_epoch(monkeypatch):
     # one forward per training step, one per frame in the epoch-end
-    # evaluation, less the E - 1 steps on frame 0 that reuse the evaluation's
+    # evaluation, less the E - 1 steps on frame 0 that reuse the evaluation's;
+    # the features are cast to float32 once, so every product is float32
     calls = []
 
     def counting(mlp, x, work=None):
-        assert work is not None
-        calls.append((len(x), id(work)))
+        assert work is not None and x.dtype == np.float32
+        calls.append((len(x), work))
         return _forward_batch(mlp, x, work)
 
     monkeypatch.setattr(refine, "_forward_batch", counting)
     frames = make_dataset(3)
-    train(frames, TrainConfig(seed=1, epochs=2, batch_size=2))
+    mlp, _ = train(frames, TrainConfig(seed=1, epochs=2, batch_size=2))
     assert len(calls) == 2 * 2 * 3 - (2 - 1) == 11
     assert all(rows == 16 * 16 for rows, _ in calls)  # each a whole frame
-    assert len({work for _, work in calls}) == 1  # one workspace per run
+    work = calls[0][1]
+    assert all(w is work for _, w in calls)  # one workspace per run
+    assert work and all(buf.dtype == np.float32 for buf in work.values())
+    assert all(a.dtype == np.float64 for a in mlp.weights + mlp.biases)  # float64 master weights
 
 
 def test_train_empty_dataset():
