@@ -17,10 +17,9 @@ arccos of a dot product in the package.  Penalizing the angle itself
 error-angle pdf, cdf and mean, and a gradient in kappa that vanishes
 exactly when kappa matches the observed mean angular error.
 
-Numerical policy: dot products are clamped to [-1, 1] before acos, and
-gradients flag rows whose dot product left that range.  The AngMF mu
-gradient is -kappa times the unit tangent of ``sphere.log_map``.  The
-vonMF nll is ``kappa (1 - t) + log(sinh k / k) - k``, whose last term is
+Numerical policy: dot products are clamped to [-1, 1] before acos.  The
+AngMF mu gradient is -kappa times the unit tangent of ``sphere.log_map``.
+The vonMF nll is ``kappa (1 - t) + log(sinh k / k) - k``, whose last term is
 ``log(-expm1(-2k) / k) - log 2``, or a short Taylor series below 1e-4;
 past the kappa whose square overflows, log(kappa^2 + 1) is 2 log kappa.
 """
@@ -81,7 +80,6 @@ class NllGradient:
 
     d_mu: np.ndarray
     d_kappa: float
-    clamped: bool = False
 
 
 def _direction(n):
@@ -136,7 +134,7 @@ def vonmf_pdf(params, n):
 
 def vonmf_nll(params, n_gt):
     """Negative log likelihood of ``n_gt`` under vonMF, without the log(4 pi) constant."""
-    t = float(np.clip(np.dot(params.mu, _direction(n_gt)), -1.0, 1.0))
+    t = float(np.clip(dot3(params.mu, _direction(n_gt)), -1.0, 1.0))
     return params.kappa * (1.0 - t) + float(_log_sinh_over_k_minus_k(params.kappa))
 
 
@@ -148,12 +146,11 @@ def vonmf_nll_grad(params, n_gt):
     """
     mu, k = params.mu, params.kappa
     n = _direction(n_gt)
-    raw = float(np.dot(mu, n))
-    t = min(1.0, max(-1.0, raw))
+    t = min(1.0, max(-1.0, float(dot3(mu, n))))
     d_kappa = float(_coth_minus_inv(k)) - t
     d_mu = -k * (n - t * mu)
-    d_mu = d_mu - np.dot(d_mu, mu) * mu
-    return NllGradient(d_mu=d_mu, d_kappa=d_kappa, clamped=abs(raw) > 1.0)
+    d_mu = d_mu - dot3(d_mu, mu) * mu
+    return NllGradient(d_mu=d_mu, d_kappa=d_kappa)
 
 
 def angmf_pdf(params, n):
@@ -191,23 +188,22 @@ def angmf_nll_rows(mu, kappa, n_gt):
 
 
 def angmf_grad_rows(mu, kappa, n_gt):
-    """Per-row AngMF nll gradient ``(d_mu, d_kappa, clamped)`` for the inputs of ``angmf_nll_rows``.
+    """Per-row AngMF nll gradient ``(d_mu, d_kappa)`` for the inputs of ``angmf_nll_rows``.
 
     ``d_mu = -kappa u``, with ``u`` the unit tangent of :func:`sphere.log_map`
     from mu toward n_gt.  ``d_kappa = acos(mu . n_gt) - E[alpha]``
-    vanishes exactly when kappa explains the observed angle.  Rows with
-    |mu . n_gt| > 1 are flagged.
+    vanishes exactly when kappa explains the observed angle.
     """
     d_kappa = angle_between(mu, n_gt) - expected_angular_error(kappa)
     d_mu = -kappa[:, None] * log_map(mu, n_gt)[1]
-    return d_mu, d_kappa, np.abs(dot3(mu, n_gt)) > 1.0
+    return d_mu, d_kappa
 
 
 def angmf_nll_grad(params, n_gt):
     """Gradient of :func:`angmf_nll` in (mu, kappa); one row of :func:`angmf_grad_rows`."""
     n = _direction(n_gt)
-    d_mu, d_kappa, clamped = angmf_grad_rows(params.mu[None, :], np.array([params.kappa]), n[None, :])
-    return NllGradient(d_mu=d_mu[0], d_kappa=float(d_kappa[0]), clamped=bool(clamped[0]))
+    d_mu, d_kappa = angmf_grad_rows(params.mu[None, :], np.array([params.kappa]), n[None, :])
+    return NllGradient(d_mu=d_mu[0], d_kappa=float(d_kappa[0]))
 
 
 def _check_kappa(kappa):

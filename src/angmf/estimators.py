@@ -38,7 +38,7 @@ def mean_direction(samples):
     """
     s = _as_samples(samples)
     r = s.sum(axis=0)
-    if np.linalg.norm(r) < 1e-12:
+    if math.sqrt(dot3(r, r)) < 1e-12:
         raise DegenerateResultant("sample directions cancel out")
     return normalize(r)
 
@@ -72,12 +72,12 @@ def _tangent_newton_step(mu, u, cot, pull):
     det = h11 * h22 - h12 * h12
     if h11 <= 0.0 or det <= 0.0:
         return None
-    g1 = float(np.dot(pull, e1))
-    g2 = float(np.dot(pull, e2))
+    g1 = float(dot3(pull, e1))
+    g2 = float(dot3(pull, e2))
     r1 = (h22 * g1 - h12 * g2) / det
     r2 = (h11 * g2 - h12 * g1) / det
     step = r1 * e1 + r2 * e2
-    if np.linalg.norm(step) > 0.5:
+    if math.sqrt(dot3(step, step)) > 0.5:
         return None
     return step
 
@@ -130,8 +130,8 @@ def spherical_median(samples, tol=1e-8, full_output=False):
         # dropping them picks a valid subgradient
         far = (alpha > 1e-9) & (alpha < math.pi - 1e-9)
         g = u[far].sum(axis=0)
-        g = g - np.dot(g, mu) * mu
-        grad_norm = float(np.linalg.norm(g))
+        g = g - dot3(g, mu) * mu
+        grad_norm = math.sqrt(dot3(g, g))
 
         n_near = n - int(np.count_nonzero(far))
         if n_near:
@@ -161,7 +161,7 @@ def spherical_median(samples, tol=1e-8, full_output=False):
         accepted = False
         while lam > 1e-14:
             v = lam * step
-            vn = float(np.linalg.norm(v))
+            vn = math.sqrt(dot3(v, v))
             if vn == 0.0:
                 break
             cand = math.cos(vn) * mu + math.sin(vn) * (v / vn)
@@ -169,7 +169,7 @@ def spherical_median(samples, tol=1e-8, full_output=False):
             alpha_c, u_c = log_map(cand, s)
             f_cand = float(np.sum(alpha_c))
             if f_cand <= f_mu + noise:
-                moved = float(np.linalg.norm(cand - mu))
+                moved = math.sqrt(dot3(cand - mu, cand - mu))
                 mu, f_mu, alpha, u = cand, f_cand, alpha_c, u_c
                 accepted = True
                 break

@@ -167,7 +167,7 @@ def forward(mlp, feature):
 
 def _head_gradients(n_gt, r, mu, kappa, z3):
     """d(nll)/d(raw outputs) for each row, shape (N, 4)."""
-    d_mu, d_kappa, _ = angmf_grad_rows(mu, kappa, n_gt)
+    d_mu, d_kappa = angmf_grad_rows(mu, kappa, n_gt)
     # exact Jacobian of v / ||v||: J^T y = (y - mu (mu . y)) / r, which is y / r for a tangent y
     d_v = d_mu / r[:, None]
 

@@ -6,11 +6,14 @@ path as single vectors.
 
 Row-wise 3-vector dot products and norms go through :func:`dot3`, which
 adds the three component products as whole arrays.  ``np.sum(u * v,
-axis=-1)`` and ``np.linalg.norm`` reduce over a length-3 axis, which
-numpy does slowly, but their rounding is plain: they add from +0.0 and
-then the products in order, left to right.  ``dot3`` takes exactly those
-steps, so it gives the same number bit for bit, only faster.  Grouping
-from the right, ``p0 + (p1 + p2)``, rounds differently on some rows.
+axis=-1)`` and ``np.linalg.norm(v, axis=-1)`` reduce over a length-3 axis,
+which numpy does slowly, but their rounding is plain: they add from +0.0
+and then the products in order, left to right.  ``dot3`` takes exactly
+those steps, so it gives the same number bit for bit, only faster.
+Grouping from the right, ``p0 + (p1 + p2)``, rounds differently on some
+rows.  A single vector's ``np.dot`` or 1-D ``np.linalg.norm`` is BLAS
+``ddot`` instead, whose rounding depends on the OpenBLAS core, so single
+vectors go through ``dot3`` too, with norms as ``math.sqrt(dot3(v, v))``.
 """
 
 import numpy as np

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from angmf import mapio, metrics
 from angmf.cli import main
@@ -296,6 +298,45 @@ def test_fit_non_finite_csv_field_is_format_error(tmp_path, capsys, field):
         warnings.simplefilter("error")
         assert main(["fit", "--samples-csv", str(path), "--estimator", "mean"]) == 3
     assert "(byte offset 18)" in capsys.readouterr().err
+
+
+FIT_NUMBERS = ["0", "-0", "1", "-0.5", "2e3", "1e-320", "5e-324", "1e308", "-1e308"]
+FIT_TOKENS = FIT_NUMBERS + ["nan", "inf", "-inf", "one", "", "1e", "0x1"]
+# (fields, times the row repeats); half the files hold only 3-number rows
+FIT_ROWS = st.one_of(
+    st.lists(st.tuples(st.lists(st.sampled_from(FIT_NUMBERS), min_size=3, max_size=3), st.integers(1, 3)),
+             max_size=6),
+    st.lists(st.tuples(st.lists(st.sampled_from(FIT_TOKENS), min_size=1, max_size=4), st.integers(1, 3)),
+             max_size=6))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in the fit JSON")
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=FIT_ROWS, header=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
+       estimator=st.sampled_from(["mean", "median", "mle"]))
+def test_fit_fuzz_exits_documented_codes(tmp_path, capsys, rows, header, newline, estimator):
+    # ragged and repeated rows of special tokens: exit 0 with a valid fit and
+    # a silent stderr, or exit 2, 3 or 4 with one stderr line; never a
+    # traceback or a warning
+    lines = ["x,y,z"] * header + [",".join(fields) for fields, repeat in rows for _ in range(repeat)]
+    csv, out = tmp_path / "fuzz.csv", tmp_path / "fit.json"
+    csv.write_text("".join(line + newline for line in lines))
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--samples-csv", str(csv), "--estimator", estimator, "--out-json", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert abs(math.sqrt(sum(x * x for x in payload["direction"])) - 1.0) < 1e-12
+    else:
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("\n")
 
 
 # --------------------------------------------------------- expected-error

@@ -25,18 +25,16 @@ They are written out below rather than hashed, since their text does not
 vary with the ufunc or BLAS kernel; a deliberate message change edits
 them by hand.
 
-Scope: ``sample``, ``fit --estimator mean`` and the evaluation commands
-avoid BLAS products (they use only elementwise ufuncs, sorts and pairwise
-sums), but numpy's SIMD exp, log, sin, cos and arccos round differently
-with and without AVX-512.  Their digests are therefore keyed by a
-fingerprint of those ufuncs' bits.  ``refine-demo`` also goes through the
-MLP's matrix products, whose bits depend on the BLAS kernel, and ``fit
---estimator median|mle`` and ``simulate-boundary`` through the 3-vector
-``np.dot`` and ``np.linalg.norm`` calls of the median's loop, which are
-BLAS calls too.  These digests are keyed by the ufunc fingerprint plus
-the core name of numpy's bundled OpenBLAS, and they run on one BLAS
-thread, since the thread count moves the matrix products' bits too.  A host whose key
-has no entry, or whose OpenBLAS does not report a core name, skips those
+Scope: every command but ``refine-demo`` avoids BLAS (elementwise ufuncs,
+sorts and pairwise sums only; 3-vector dots and norms go through
+``sphere.dot3``), but numpy's SIMD exp, log, sin, cos and arccos round
+differently with and without AVX-512.  Those digests are therefore keyed
+by a fingerprint of the ufuncs' bits.  ``refine-demo`` also goes through
+the MLP's matrix products, whose bits depend on the BLAS kernel, so its
+digests are keyed by the ufunc fingerprint plus the core name of numpy's
+bundled OpenBLAS, and they run on one BLAS thread, since the thread count
+moves the matrix products' bits too.  A host whose key has no entry, or
+whose OpenBLAS does not report a core name, skips the ``refine-demo``
 cases.  After a deliberate output change, rewrite the entries of this
 host, of the non-AVX-512 kernels and of the Haswell BLAS core with
 
@@ -52,13 +50,16 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import angmf
 from angmf.cli import main
 from angmf.metrics import METRIC_NAMES
 
@@ -71,8 +72,6 @@ SAMPLES = {
 }
 MAP_CASES = ["eval maps", *(f"sparsify-{metric} maps" for metric in METRIC_NAMES), "select-pixels maps"]
 EXPECTED_ERROR_KAPPAS = ["0", "1e-17", "5", "1e308"]
-CASES = [f"{kind} {sample}" for kind in ("sample", "fit-mean") for sample in SAMPLES] + MAP_CASES + [
-    "expected-error kappas"]
 REFINE_DEMOS = {
     "seed1": ["--seed", "1"],
     "batch3": ["--seed", "1", "--batch-size", "3"],
@@ -90,9 +89,11 @@ SIMULATIONS = {
     "sep30-c40-k5": ["--separation-deg", "30", "--contamination", "0.4", "--jitter-kappa", "5",
                      "--trials", "10", "--samples", "300", "--seed", "4"],
 }
-BLAS_CASES = ([f"refine-demo {name}" for name in REFINE_DEMOS]
-              + [f"fit-{est} {csv}" for est in ("median", "mle") for csv in FIT_CSVS]
-              + [f"simulate-boundary {name}" for name in SIMULATIONS])
+CASES = ([f"{kind} {sample}" for kind in ("sample", "fit-mean") for sample in SAMPLES] + MAP_CASES
+         + ["expected-error kappas"]
+         + [f"fit-{est} {csv}" for est in ("median", "mle") for csv in FIT_CSVS]
+         + [f"simulate-boundary {name}" for name in SIMULATIONS])
+BLAS_CASES = [f"refine-demo {name}" for name in REFINE_DEMOS]
 
 
 def _map_bytes(magic, width, height, values):
@@ -318,8 +319,7 @@ def _digest(directory, case):
             argv = ["simulate-boundary", *SIMULATIONS[sample]]
         else:
             argv = ["fit", "--samples-csv", str(_fit_csv(d, sample)), "--estimator", kind[len("fit-"):]]
-        with _one_blas_thread():
-            assert main(argv + ["--out-json", str(d / "out.json")]) == 0
+        assert main(argv + ["--out-json", str(d / "out.json")]) == 0
         return hashlib.sha256((d / "out.json").read_bytes()).hexdigest()
     if kind == "expected-error":
         stdout = io.StringIO()
@@ -369,6 +369,31 @@ def test_golden_digest(tmp_path, golden, case):
 def test_golden_blas_digest(tmp_path, golden_blas, case):
     assert _digest(tmp_path, case) == golden_blas[case]
 
+
+# one seeded boundary median: taking its 3-vector dots through BLAS ddot
+# moves its last bit on the SkylakeX core
+BOUNDARY_MEDIAN = """
+import math
+from angmf.estimators import spherical_median
+from angmf.rng import RngState
+from angmf.synth import TwoPlaneScene, sample_boundary_pixels
+scene = TwoPlaneScene((0.0, 0.0, 1.0), (math.sin(1.0), 0.0, math.cos(1.0)), 0.2, 50.0)
+rng = RngState(3)
+for _ in range(52):
+    samples = sample_boundary_pixels(scene, rng, 500)
+print(spherical_median(samples).tobytes().hex())
+"""
+
+
+def test_median_bits_do_not_depend_on_the_blas_core():
+    if blas_key() is None:
+        pytest.skip("numpy's OpenBLAS reports no core name")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(angmf.__file__).parent.parent)
+    bits = [subprocess.run([sys.executable, "-c", BOUNDARY_MEDIAN], env=core_env, capture_output=True,
+                           text=True, check=True, timeout=60).stdout
+            for core_env in (env, {**env, "OPENBLAS_CORETYPE": "Sandybridge"})]
+    assert bits[0] == bits[1] != ""
 
 
 def _exit_and_stderr(argv):
