@@ -7,8 +7,6 @@ validation error, 3 I/O or format error, 4 numerical failure.
 """
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -96,22 +94,12 @@ def _seed(text):
     return v
 
 
-def _dump_json(payload, path):
-    if path is None:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-
 def _cmd_eval(args):
     pred = mapio.read_normal_map(args.pred)
     gt = mapio.read_normal_map(args.gt)
     errs = metrics.valid_errors(metrics.angular_errors(pred, gt))
     report = metrics.summarize(errs)
-    _dump_json(report.to_json_dict(), args.out_json)
+    mapio.write_json(report.to_json_dict(), args.out_json)
     return 0
 
 
@@ -140,7 +128,7 @@ def _cmd_sparsify(args):
         "ausc_oracle": metrics.ausc(orc),
         "ause": metrics.ause(est, orc),
     }
-    _dump_json(payload, args.out_json)
+    mapio.write_json(payload, args.out_json)
     return 0
 
 
@@ -159,7 +147,7 @@ def _cmd_fit(args):
     samples = normalize(samples)
     if args.estimator == "mean":
         d = mean_direction(samples)
-        _dump_json({"estimator": "mean", "direction": [float(x) for x in d]}, args.out_json)
+        mapio.write_json({"estimator": "mean", "direction": [float(x) for x in d]}, args.out_json)
         return 0
     if args.estimator == "median":
         d, report = spherical_median(samples, tol=args.tol, full_output=True)
@@ -173,7 +161,7 @@ def _cmd_fit(args):
             "nll": report.final_nll,
         }
     payload.update(iterations=report.iterations, converged=report.converged)
-    _dump_json(payload, args.out_json)
+    mapio.write_json(payload, args.out_json)
     if not report.converged:
         stop = "did not converge"
         if args.estimator == "mle" and report.params.kappa == KAPPA_CEILING:
@@ -191,7 +179,7 @@ def _degrees(x):
 def _cmd_expected_error(args):
     values = [_degrees(expected_angular_error(k)) for k in args.kappa]
     if args.out_json is not None:
-        _dump_json(dict(zip(map(str, args.kappa), values)), args.out_json)
+        mapio.write_json(dict(zip(map(str, args.kappa), values)), args.out_json)
     else:
         for v in values:
             print(v)
@@ -240,7 +228,7 @@ def _cmd_simulate_boundary(args):
         "mean_error_deg_avg": float(np.mean(err_mean)),
         "median_error_deg_avg": float(np.mean(err_median)),
     }
-    _dump_json(payload, args.out_json)
+    mapio.write_json(payload, args.out_json)
     return 0
 
 
@@ -273,19 +261,9 @@ def _cmd_refine_demo(args):
     )
     mlp, stats = refine.train(frames, cfg)
     if args.out_weights:
-        refine.save_weights(mlp, args.out_weights)
+        mapio.save_weights(mlp, args.out_weights)
     if args.out_csv:
-        with open(args.out_csv, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["epoch", "mean_deg", "median_deg", "rmse_deg", "nll"])
-            for st in stats:
-                w.writerow([
-                    st.epoch,
-                    repr(st.report.mean_deg),
-                    repr(st.report.median_deg),
-                    repr(st.report.rmse_deg),
-                    repr(st.nll),
-                ])
+        mapio.write_epoch_csv(stats, args.out_csv)
     last = stats[-1]
     print(f"epoch {last.epoch}: mean {last.report.mean_deg:.3f} deg, nll {last.nll:.6f}")
     return 0

@@ -1,4 +1,4 @@
-"""Map containers and file formats.
+"""Every file format of the package, read and written in one place.
 
 Normal maps (``SNMP1``) and kappa maps (``SKMP1``) share one layout:
 
@@ -9,20 +9,32 @@ Normal maps (``SNMP1``) and kappa maps (``SKMP1``) share one layout:
                   3 per pixel for normals, 1 per pixel for kappa
 
 Invalid pixels are stored as quiet NaN (a full NaN triplet for normals).
+
+Refinement-MLP weights use the ``RMLP1`` format:
+
+    bytes 0..4   magic b"RMLP1"
+    bytes 5..8   L = number of layers, little-endian uint32
+    then         L + 1 layer widths, little-endian uint32
+    then         per layer: weights (out x in, row-major) then bias,
+                 all little-endian float32
+
 Reads and writes round-trip bit for bit; any structural problem raises
 FormatError carrying the byte offset of the first offending value.
 
-The CSV readers and writers of sample lists, sparsification curves and
-pixel selections live here too.  The CLI writes its JSON reports and the
-``refine-demo`` epoch CSV itself.
+The CSVs of sample lists, sparsification curves, pixel selections and
+``refine-demo`` epochs live here too, as does the JSON of the CLI's
+reports: indented by 2, keys sorted, one trailing newline.
 """
 
+import json
 import math
 import struct
+import sys
 
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
+from .refine import RefineMLP
 from .sphere import UNIT_NORM_TOL, dot3, normalize
 
 __all__ = [
@@ -36,11 +48,17 @@ __all__ = [
     "write_vectors_csv",
     "read_vectors_csv",
     "write_selection_csv",
+    "write_epoch_csv",
+    "write_json",
+    "save_weights",
+    "load_weights",
 ]
 
 MAGIC_NORMAL = b"SNMP1"
 MAGIC_KAPPA = b"SKMP1"
-_HEADER = struct.Struct("<5sII")
+MAGIC_WEIGHTS = b"RMLP1"
+_HEADER = struct.Struct("<5sII")  # magic, width, height
+_WEIGHTS_HEADER = struct.Struct("<5sI")  # magic, number of layers
 
 
 def _first(mask):
@@ -129,27 +147,30 @@ class KappaMap(_Grid):
         return ~np.isnan(self.data)
 
 
-def _read_header(buf, magic, path):
-    if len(buf) < _HEADER.size:
+def _read_file(path, header, magic):
+    """The bytes of ``path`` and the fields that follow the magic in its ``header``."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    if len(buf) < header.size:
         raise FormatError(f"{path}: truncated header", offset=len(buf))
-    got, width, height = _HEADER.unpack_from(buf)
+    got, *fields = header.unpack_from(buf)
     if got != magic:
         raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}", offset=0)
-    return width, height
+    return buf, fields
+
+
+def _check_size(buf, head, expected, path):
+    """Reject a file that is not ``expected`` bytes long; ``head`` bytes precede its payload."""
+    if len(buf) != expected:
+        raise FormatError(f"{path}: payload is {len(buf) - head} bytes, expected {expected - head}",
+                          offset=min(len(buf), expected))
 
 
 def _read_map(path, magic, cls, tail):
     """Read one map file; the constructor's first bad pixel becomes the FormatError offset."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    width, height = _read_header(buf, magic, path)
+    buf, (width, height) = _read_file(path, _HEADER, magic)
     pixel_bytes = 4 * math.prod(tail)
-    expected = _HEADER.size + pixel_bytes * width * height
-    if len(buf) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - _HEADER.size} bytes, expected {expected - _HEADER.size}",
-            offset=min(len(buf), expected),
-        )
+    _check_size(buf, _HEADER.size, _HEADER.size + pixel_bytes * width * height, path)
     data = np.frombuffer(buf, dtype="<f4", offset=_HEADER.size)
     try:
         return cls(data.reshape((height, width) + tail).copy())
@@ -177,6 +198,47 @@ def write_kappa_map(kappa_map, path):
 
 def read_kappa_map(path):
     return _read_map(path, MAGIC_KAPPA, KappaMap, ())
+
+
+def save_weights(mlp, path):
+    dims = mlp.dims
+    with open(path, "wb") as f:
+        f.write(_WEIGHTS_HEADER.pack(MAGIC_WEIGHTS, len(mlp.weights)))
+        f.write(struct.pack(f"<{len(dims)}I", *dims))
+        for w, b in zip(mlp.weights, mlp.biases):
+            f.write(w.astype("<f4").tobytes())
+            f.write(b.astype("<f4").tobytes())
+
+
+def load_weights(path):
+    buf, (n_layers,) = _read_file(path, _WEIGHTS_HEADER, MAGIC_WEIGHTS)
+    head = _WEIGHTS_HEADER.size + 4 * (n_layers + 1)
+    if n_layers < 1 or len(buf) < head:
+        raise FormatError(f"{path}: truncated dimension table", offset=min(len(buf), _WEIGHTS_HEADER.size))
+    dims = struct.unpack_from(f"<{n_layers + 1}I", buf, _WEIGHTS_HEADER.size)
+    payload = sum(4 * (dims[l] * dims[l + 1] + dims[l + 1]) for l in range(n_layers))
+    _check_size(buf, head, head + payload, path)
+    arrays = []  # weights and biases, alternating, in file order
+    off = head
+    for l in range(n_layers):
+        for what, shape in (("weight", (dims[l + 1], dims[l])), ("bias", (dims[l + 1],))):
+            a = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=off).astype(np.float64)
+            bad = _first(~np.isfinite(a))
+            if bad is not None:
+                raise FormatError(f"{path}: non-finite {what} in layer {l}", offset=off + 4 * bad)
+            arrays.append(a.reshape(shape))
+            off += 4 * a.size
+    return RefineMLP(weights=arrays[0::2], biases=arrays[1::2])
+
+
+def write_json(payload, path):
+    """Write ``payload`` as a JSON report to ``path``, or to stdout when ``path`` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
 
 
 # Rows per formatted or parsed CSV batch: few small string objects are
@@ -265,3 +327,11 @@ def write_selection_csv(selection, path):
         for role, idx in (("importance", selection.importance), ("coverage", selection.coverage)):
             for s in range(0, idx.size, _CSV_BATCH):
                 f.write("".join([f"{i},{role}\r\n" for i in idx[s:s + _CSV_BATCH].tolist()]))
+
+
+def write_epoch_csv(stats, path):
+    """One row per EpochStats: its epoch, the mean, median and RMS error in degrees and the nll."""
+    with open(path, "w", newline="") as f:
+        f.write("epoch,mean_deg,median_deg,rmse_deg,nll\r\n")
+        f.write("".join([f"{st.epoch},{st.report.mean_deg!r},{st.report.median_deg!r},{st.report.rmse_deg!r},"
+                         f"{st.nll!r}\r\n" for st in stats]))

@@ -34,32 +34,17 @@ and ``backward`` run in float64 and use no workspace.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
-[-1/sqrt(fan_in), +1/sqrt(fan_in)] and biases start at zero.
-
-Weight files use the ``RMLP1`` format:
-
-    bytes 0..4   magic b"RMLP1"
-    bytes 5..8   L = number of layers, little-endian uint32
-    then         L + 1 layer widths, little-endian uint32
-    then         per layer: weights (out x in, row-major) then bias,
-                 all little-endian float32
+[-1/sqrt(fan_in), +1/sqrt(fan_in)] and biases start at zero.  Weight
+files (``RMLP1``) are read and written by :mod:`angmf.mapio`.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import AngMFParams, angmf_grad_rows, angmf_nll_rows, expected_angular_error
-from .errors import (
-    DomainError,
-    EmptyBatch,
-    FormatError,
-    NormalizationError,
-    NumericalError,
-    ShapeError,
-)
+from .errors import DomainError, EmptyBatch, NormalizationError, NumericalError, ShapeError
 from .metrics import MetricsReport, summarize
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
@@ -75,11 +60,7 @@ __all__ = [
     "forward",
     "backward",
     "train",
-    "save_weights",
-    "load_weights",
 ]
-
-MAGIC_WEIGHTS = b"RMLP1"
 
 
 def modified_elu(x):
@@ -295,6 +276,9 @@ def train(frames, config):
                         raise NumericalError(f"training diverged at epoch {epoch} (non-finite kappa)")
                     unc = expected_angular_error(kappa)
                     idx = select_pixels(unc, valid, sel_cfg, rng).all_indices
+                    if idx.size == 0:
+                        raise DomainError(f"r_s = {config.r_s} selects no pixel of a frame "
+                                          f"with {np.count_nonzero(valid)} valid pixels")
                     d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt[idx])
                     for l in range(len(acc_w)):
                         acc_w[l] += d_ws[l]
@@ -308,42 +292,3 @@ def train(frames, config):
             stats.append(epoch_stats)
     return mlp, stats
 
-
-def save_weights(mlp, path):
-    dims = mlp.dims
-    with open(path, "wb") as f:
-        f.write(MAGIC_WEIGHTS)
-        f.write(struct.pack("<I", len(mlp.weights)))
-        f.write(struct.pack(f"<{len(dims)}I", *dims))
-        for w, b in zip(mlp.weights, mlp.biases):
-            f.write(w.astype("<f4").tobytes())
-            f.write(b.astype("<f4").tobytes())
-
-
-def load_weights(path):
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 9:
-        raise FormatError(f"{path}: truncated header", offset=len(buf))
-    if buf[:5] != MAGIC_WEIGHTS:
-        raise FormatError(f"{path}: bad magic {buf[:5]!r}", offset=0)
-    (n_layers,) = struct.unpack_from("<I", buf, 5)
-    head = 9 + 4 * (n_layers + 1)
-    if n_layers < 1 or len(buf) < head:
-        raise FormatError(f"{path}: truncated dimension table", offset=min(len(buf), 9))
-    dims = struct.unpack_from(f"<{n_layers + 1}I", buf, 9)
-    expected = head + sum(4 * (dims[l] * dims[l + 1] + dims[l + 1]) for l in range(n_layers))
-    if len(buf) != expected:
-        raise FormatError(f"{path}: payload is {len(buf) - head} bytes, expected {expected - head}",
-                          offset=min(len(buf), expected))
-    arrays = []  # weights and biases, alternating, in file order
-    off = head
-    for l in range(n_layers):
-        for what, shape in (("weight", (dims[l + 1], dims[l])), ("bias", (dims[l + 1],))):
-            a = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=off).astype(np.float64)
-            if not np.all(np.isfinite(a)):
-                bad = int(np.flatnonzero(~np.isfinite(a))[0])
-                raise FormatError(f"{path}: non-finite {what} in layer {l}", offset=off + 4 * bad)
-            arrays.append(a.reshape(shape))
-            off += 4 * a.size
-    return RefineMLP(weights=arrays[0::2], biases=arrays[1::2])

@@ -87,14 +87,3 @@ class RngState:
             idx = np.uint64(start) + np.arange(n, dtype=np.uint64)
             bits = _mix_u64(np.uint64(self._key) + idx * np.uint64(_GAMMA))
         return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def next_below(self, m):
-        """Integer in [0, m) from one uniform draw.
-
-        The multiply-and-floor map has bias below 2**-53 * m, which is
-        irrelevant at the scales used here.
-        """
-        if m <= 0:
-            raise DomainError(f"need a positive bound, got {m}")
-        k = int(self.uniform() * m)
-        return m - 1 if k >= m else k

@@ -203,6 +203,8 @@ ERRORS = {
                            "error: kappa collapsed to 0 at every valid pixel at epoch 1"),
     "refine-seed-negative": (REFINE + ["--seed", "-1"], 2,
                              "angmf refine-demo: error: argument --seed: must lie in [0, 2**64): '-1'"),
+    "refine-rs-empty": (REFINE + ["--rs", "1e-9", "--seed", "0"], 2,
+                        "error: r_s = 1e-09 selects no pixel of a frame with 64 valid pixels"),
 }
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -19,14 +20,20 @@ from angmf import (
 )
 from angmf.errors import DomainError, FormatError, ShapeError
 from angmf.mapio import (
+    load_weights,
     read_vectors_csv,
+    save_weights,
     write_curve_csv,
+    write_epoch_csv,
+    write_json,
     write_selection_csv,
     write_vectors_csv,
 )
 from angmf.cli import main
-from angmf.metrics import angular_errors, oracle_curve, summarize, valid_errors
+from angmf.metrics import MetricsReport, angular_errors, oracle_curve, summarize, valid_errors
 from angmf.pixel_select import PixelSelection
+from angmf.refine import EpochStats, init_mlp
+from angmf.rng import RngState
 
 from conftest import random_unit
 
@@ -488,3 +495,81 @@ def test_selection_csv_bytes_match_csv_writer(tmp_path, importance, coverage):
     w.writerows([int(i), "importance"] for i in sel.importance)
     w.writerows([int(i), "coverage"] for i in sel.coverage)
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def test_epoch_csv_writes_csv_writer_bytes(tmp_path):
+    rows = [(1, -0.0, 5e-324, 1e16, 0.1), (2, 12.5, 1e22, -5e-324, -1e16), (12, 1e-300, 0.0, 3.0, 2.0 / 3.0)]
+    stats = [EpochStats(epoch=e, nll=nll, report=MetricsReport(m, med, r, pct_below={}))
+             for e, m, med, r, nll in rows]
+    path = tmp_path / "e.csv"
+    write_epoch_csv(stats, path)
+    want = [[str(row[0])] + [repr(v) for v in row[1:]] for row in rows]
+    assert path.read_bytes() == csv_writer_bytes(["epoch", "mean_deg", "median_deg", "rmse_deg", "nll"], want)
+
+
+def _map_file(path):
+    write_normal_map(NormalMap.from_vectors(unit_grid(2, 3)), path)
+
+
+def _kappa_file(path):
+    write_kappa_map(KappaMap(np.arange(6, dtype=np.float32).reshape(2, 3)), path)
+
+
+def _weights_file(path):
+    save_weights(init_mlp(3, hidden_dims=(2,), rng=RngState(12)), path)
+
+
+# (writer, reader, magic, header bytes, bytes before the payload)
+BINARY_FORMATS = {
+    "SNMP1": (_map_file, read_normal_map, b"SNMP1", 13, 13),
+    "SKMP1": (_kappa_file, read_kappa_map, b"SKMP1", 13, 13),
+    "RMLP1": (_weights_file, load_weights, b"RMLP1", 9, 9 + 4 * 3),
+}
+
+
+@pytest.mark.parametrize("name", BINARY_FORMATS)
+def test_binary_readers_share_structural_errors(tmp_path, name):
+    write, read, magic, header, head = BINARY_FORMATS[name]
+    good = tmp_path / "good.bin"
+    write(good)
+    raw = good.read_bytes()
+    path = tmp_path / "bad.bin"
+
+    def error(data):
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as ei:
+            read(path)
+        return str(ei.value), ei.value.offset
+
+    for k in range(header):
+        assert error(raw[:k]) == (f"{path}: truncated header (byte offset {k})", k)
+    assert error(b"XXXX1" + raw[5:]) == (f"{path}: bad magic b'XXXX1', expected {magic!r} (byte offset 0)", 0)
+    expected = len(raw) - head
+    for data in (raw[:-1], raw + b"\0"):
+        end = min(len(data), len(raw))
+        assert error(data) == (f"{path}: payload is {len(data) - head} bytes, expected {expected} "
+                               f"(byte offset {end})", end)
+
+
+def _reference_dump_json(payload, path):
+    """The CLI's JSON writer before it moved into mapio."""
+    if path is None:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+    else:
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+
+def test_write_json_matches_reference(tmp_path, capsys):
+    payload = {"zeta": [0.1, -0.0, 5e-324], "alpha": {"b": True, "a": None}, "n": 3, "1e16": 1e16,
+               "s": "x\u00e9"}
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    write_json(payload, str(got))
+    _reference_dump_json(payload, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    write_json(payload, None)
+    from_write_json = capsys.readouterr().out
+    _reference_dump_json(payload, None)
+    assert from_write_json == capsys.readouterr().out == want.read_text()

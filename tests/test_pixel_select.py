@@ -147,7 +147,7 @@ def test_input_validation():
 
 
 def _reference_select(uncertainty, valid, config, rng):
-    """Stable argsort of -uncertainty plus a scalar next_below Fisher-Yates."""
+    """Stable argsort of -uncertainty plus a Fisher-Yates of one scalar draw per step."""
     unc = np.asarray(uncertainty, dtype=np.float64).ravel()
     candidates = np.flatnonzero(np.asarray(valid, dtype=bool).ravel())
     n_select = int(np.floor(config.r_s * candidates.size + 0.5))
@@ -157,7 +157,8 @@ def _reference_select(uncertainty, valid, config, rng):
     pool = np.sort(candidates[order[n_importance:]])
     n_coverage = n_select - n_importance
     for i in range(n_coverage):
-        j = i + rng.next_below(pool.size - i)
+        m = pool.size - i
+        j = i + min(int(rng.uniform() * m), m - 1)
         pool[i], pool[j] = pool[j], pool[i]
     return np.sort(importance), np.sort(pool[:n_coverage])
 

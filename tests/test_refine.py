@@ -23,13 +23,11 @@ from angmf.refine import (
     backward,
     forward,
     init_mlp,
-    load_weights,
     modified_elu,
     modified_elu_grad,
-    save_weights,
     train,
 )
-from angmf.mapio import NormalMap
+from angmf.mapio import NormalMap, load_weights, save_weights
 from angmf.metrics import summarize, valid_errors
 from angmf.pixel_select import SelectionConfig, select_pixels
 from angmf.refine import _backward_batch, _evaluate, _forward_batch

@@ -102,18 +102,3 @@ def test_uniform_zero_count():
     out = r.uniform(0)
     assert out.shape == (0,)
     assert r.counter == 0
-
-
-def test_next_below_bounds_and_spread():
-    r = RngState(314)
-    assert all(r.next_below(1) == 0 for _ in range(10))
-    draws = [r.next_below(7) for _ in range(7000)]
-    assert min(draws) == 0 and max(draws) == 6
-    counts = np.bincount(draws, minlength=7)
-    # each bucket expects 1000; allow +-5 sigma of binomial noise
-    assert np.all(np.abs(counts - 1000) < 5 * np.sqrt(1000 * 6 / 7))
-
-
-def test_next_below_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        RngState(0).next_below(0)
