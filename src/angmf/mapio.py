@@ -23,7 +23,9 @@ FormatError carrying the byte offset of the first offending value.
 
 The CSVs of sample lists, sparsification curves, pixel selections and
 ``refine-demo`` epochs live here too, as does the JSON of the CLI's
-reports: indented by 2, keys sorted, one trailing newline.
+reports: indented by 2, keys sorted, one trailing newline.  Each float in a
+CSV is exactly its ``repr``.  Vector CSVs take that text from a numpy port of
+Ryu in the band 1e-4 <= |x| < 1 and from ``repr`` elsewhere (see _CSV_BATCH).
 """
 
 import json
@@ -216,6 +218,8 @@ def load_weights(path):
     if n_layers < 1 or len(buf) < head:
         raise FormatError(f"{path}: truncated dimension table", offset=min(len(buf), _WEIGHTS_HEADER.size))
     dims = struct.unpack_from(f"<{n_layers + 1}I", buf, _WEIGHTS_HEADER.size)
+    if 0 in dims:
+        raise FormatError(f"{path}: layer width {dims.index(0)} is 0", offset=_WEIGHTS_HEADER.size + 4 * dims.index(0))
     payload = sum(4 * (dims[l] * dims[l + 1] + dims[l + 1]) for l in range(n_layers))
     _check_size(buf, head, head + payload, path)
     arrays = []  # weights and biases, alternating, in file order
@@ -241,10 +245,86 @@ def write_json(payload, path):
             f.write(text)
 
 
-# Rows per formatted or parsed CSV batch: few small string objects are
-# alive at once.  Fields are float reprs and ints, which csv.writer would
-# never quote, so the joined lines are exactly its bytes.
+# Rows per formatted or parsed CSV batch: few small string objects, or one
+# (3 * rows, 32)-byte field matrix, are alive at once.  Fields are float
+# reprs and ints, which csv.writer would never quote, so the joined lines are
+# exactly its bytes.  A vector field x = m2 * 2**(be - 1075) in the band
+# 1e-4 <= |x| < 1 (biased exponent be 1009..1022, where repr prints fixed
+# notation) takes Ryu's shortest digits (Adams, PLDI 2018).  With e2 = be -
+# 1077, q = log10(5**-e2) - 1 and i = -e2 - q in 18..22, 5**i < 2**52 is
+# exact and no Ryu table is needed: vr, vp and vm are floor((4*m2 + {0, 2,
+# -2}) * 5**i / 2**q), digits go while vp // 10 > vm // 10, and vr rounds up
+# from a last removed digit >= 5.  Every other field is ``repr(float(x))``:
+# +-0, NaN, +-inf, subnormals, |x| >= 1, |x| < 1e-4 and Ryu's trailing-zero
+# case, m2 a multiple of 2**(q-2), which holds the powers of two, the only
+# fields with mmShift 0.  Ryu's round-up at vr == vm never fires on the band:
+# vr - vm and vp - vr are floor(h) or ceil(h) for h = 2 * 5**i / 2**q, so when
+# vr keeps vm's digits and (vm, vp] holds a multiple of 10**r, vr's removed
+# rest is at least max(floor(h), 10**r - ceil(h)) >= 10**r / 2 and rounds up.
 _CSV_BATCH = 8192
+_POW5 = np.array([5**k for k in range(23)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+# four digits per uint32: "0042" at 42, and the leading form "\0\042" at 10000 + 42
+# (built from arrays under 128 KiB, so importing leaves glibc's mmap threshold where it was)
+_QUADS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16)
+_QUADS = np.concatenate([(_QUADS % 10 + 48).astype(np.uint8), (_QUADS % 10 + 48).astype(np.uint8) * (_QUADS > 0)])
+_QUADS = _QUADS.view(np.uint32).ravel()
+# a field's first 8 bytes: sign, "0.", then -decpt zeros; row 4 * sign - decpt
+_PREFIX = np.frombuffer(b"".join((s + b"0." + b"0" * z).ljust(8, b"\0") for s in (b"", b"-") for z in range(4)),
+                        dtype=np.uint32).reshape(8, 2)
+_DELIMS = np.frombuffer(b",\0\0\0,\0\0\0\r\n\0\0", dtype=np.uint32)
+
+
+def _shortest_digits(x):
+    """(usable, digits, decpt) of a flat float64 array; usable x (see _CSV_BATCH) is 0.DIGITS * 10**decpt."""
+    bits = x.view(np.uint64)
+    be = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    bec = np.clip(be, 1009, 1022)  # keeps the shifts in range off the band
+    q = ((1077 - bec) * 732923 >> 20) - 1
+    qu = q.astype(np.uint64)
+    pow5 = _POW5[1077 - bec - q]
+    mv = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)
+    # 128-bit mv * 5**i on 32-bit limbs (mv < 2**55, 5**i < 2**52); vp adds 2 * 5**i, vm subtracts it
+    m32, s32 = np.uint64(2**32 - 1), np.uint64(32)
+    a_lo, a_hi, b_lo, b_hi = mv & m32, mv >> s32, pow5 & m32, pow5 >> s32
+    ll = a_lo * b_lo
+    cross = a_hi * b_lo + a_lo * b_hi
+    lo = ll + (cross << s32)
+    hi = a_hi * b_hi + (cross >> s32) + (lo < ll)
+    lp, lm = lo + (pow5 << np.uint64(1)), lo - (pow5 << np.uint64(1))
+    up = np.uint64(64) - qu
+    vr = (hi << up) | (lo >> qu)
+    p = ((hi + (lp < lo)) << up) | (lp >> qu)
+    m = ((hi - (lm > lo)) << up) | (lm >> qu)
+    removed = np.zeros(x.size, dtype=np.intp)
+    p, m = p // np.uint64(10), m // np.uint64(10)
+    while (more := p > m).any():  # once p <= m it stays so for every further digit
+        removed += more
+        p, m = p // np.uint64(10), m // np.uint64(10)
+    scale = _POW10[removed]
+    out = vr // scale
+    out += vr - out * scale >= scale >> np.uint64(1)
+    decpt = q + bec - 1077 + removed + np.searchsorted(_POW10, out, side="right")
+    usable = (be == bec) & (decpt >= -3) & ((mv & ((np.uint64(1) << qu) - np.uint64(1))) != 0)
+    return usable, out, decpt
+
+
+def _vector_rows(v):
+    """The ``x,y,z\\r\\n`` lines of an (N, 3) float64 array as bytes, every field exactly its repr."""
+    x = v.ravel()
+    usable, out, decpt = _shortest_digits(x)
+    # 32 bytes per field as 8 uint32 cells: prefix, 20 right-aligned digit bytes, delimiter; NULs are dropped
+    cells = np.empty((x.size, 8), dtype=np.uint32)
+    cells[:, :2] = np.take(_PREFIX, np.signbit(x) * 4 - decpt, axis=0, mode="clip")
+    for c in range(6, 1, -1):
+        rest = out // np.uint64(10000)
+        cells[:, c] = np.take(_QUADS, out - rest * np.uint64(10000) + (out < np.uint64(10000)) * np.uint64(10000))
+        out = rest
+    cells.reshape(len(v), 3, 8)[:, :, 7] = _DELIMS
+    text = cells.view(np.uint8)
+    for k in np.flatnonzero(~usable).tolist():
+        text[k, :28] = np.frombuffer(repr(float(x[k])).encode().ljust(28, b"\0"), dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_curve_csv(curve, path):
@@ -255,10 +335,10 @@ def write_curve_csv(curve, path):
 
 def write_vectors_csv(vectors, path):
     v = np.asarray(vectors, dtype=np.float64)
-    with open(path, "w", newline="") as f:
-        f.write("x,y,z\r\n")
+    with open(path, "wb") as f:
+        f.write(b"x,y,z\r\n")
         for s in range(0, len(v), _CSV_BATCH):
-            f.write("".join([f"{x!r},{y!r},{z!r}\r\n" for x, y, z in v[s:s + _CSV_BATCH].tolist()]))
+            f.write(_vector_rows(v[s:s + _CSV_BATCH]))
 
 
 def _is_header(line):

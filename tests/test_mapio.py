@@ -382,6 +382,54 @@ def test_vectors_csv_writes_csv_writer_bytes(tmp_path, n):
     assert path.read_bytes() == csv_writer_bytes(["x", "y", "z"], [[repr(float(x)) for x in row] for row in v])
 
 
+def repr_rows(v):
+    """The vector CSV that csv.writer writes for ``v`` with each field ``repr(float(x))``."""
+    return csv_writer_bytes(["x", "y", "z"], [[repr(float(x)) for x in row] for row in v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.floats() | st.floats(-1.0, 1.0)] * 3), max_size=40))
+def test_vectors_csv_formatter_matches_repr_property(tmp_path_factory, rows):
+    # st.floats() draws NaN, +-inf, subnormals and +-0; st.floats(-1, 1) fills the fixed-notation band
+    v = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    path = tmp_path_factory.mktemp("csv") / "v.csv"
+    write_vectors_csv(v, path)
+    assert path.read_bytes() == repr_rows(v)
+
+
+def _neighbours(x, k=3):
+    """x and its k nearest doubles on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_vectors_csv_formatter_edges(tmp_path):
+    # the band's ends, the binade boundary inside it and its powers of two (Ryu's trailing-zero case)
+    edges = _neighbours(1e-4) + _neighbours(2.0**-14) + _neighbours(1.0) + [2.0**-k for k in range(1, 15)]
+    edges += [0.1, 1 / 3, 0.9999999999999999, 5e-324]
+    edges += [k * 2.0**-23 for k in range(839, 2000)]  # few mantissa bits: exact ties, which repr rounds to even
+    x = np.array(edges + [-e for e in edges])
+    v = np.append(x, np.zeros(-x.size % 3)).reshape(-1, 3)
+    path = tmp_path / "v.csv"
+    write_vectors_csv(v, path)
+    assert path.read_bytes() == repr_rows(v)
+
+
+def test_vectors_csv_formatter_in_band_sweep(tmp_path):
+    # 3e5 fields with biased exponents 1009..1022 and random mantissas and signs, crossing batches
+    gen = np.random.default_rng(17)
+    n = 300_000
+    bits = gen.integers(1009, 1023, n, dtype=np.uint64) << np.uint64(52) | gen.integers(0, 2**52, n, dtype=np.uint64)
+    bits |= gen.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    v = bits.view(np.float64).reshape(-1, 3)
+    path = tmp_path / "v.csv"
+    write_vectors_csv(v, path)
+    assert path.read_bytes() == repr_rows(v)
+
+
 def reference_read(path):
     """The line-by-line reader that the batched one must match: rows, or (message, offset) of the error."""
     raw = path.read_bytes()
@@ -423,6 +471,15 @@ _GOOD = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in np.random.default_rng(7).s
         "x,y,z\n1,nan,3\n" + _GOOD + "1,2,3,4\n",  # non-finite first, malformed later
         "x,y,z\n" + _GOOD + "1,inf,3\n" + _GOOD + "-Infinity,1,3\n",
         "x,y,z\n1,2,3\n\xe9,1,2\n",
+        # tokens float() and np.loadtxt read differently: the first four are accepted, the last four refused
+        "x,y,z\n1_0,2,3\n",
+        "x,y,z\n\uff11,2,3\n",  # fullwidth 1
+        "x,y,z\n1,\u0663,3\n",  # Arabic-Indic 3
+        "x,y,z\n+1,.5, 1 \n",
+        "x,y,z\n1__0,2,3\n",
+        "x,y,z\n0x1p3,2,3\n",
+        "x,y,z\n1e400,2,3\n",
+        "x,y,z\n1,infinity,3\n",
     ],
 )
 def test_vectors_csv_reader_matches_line_by_line(tmp_path, text):
@@ -505,6 +562,18 @@ def test_epoch_csv_writes_csv_writer_bytes(tmp_path):
     write_epoch_csv(stats, path)
     want = [[str(row[0])] + [repr(v) for v in row[1:]] for row in rows]
     assert path.read_bytes() == csv_writer_bytes(["epoch", "mean_deg", "median_deg", "rmse_deg", "nll"], want)
+
+
+@pytest.mark.parametrize("dims", [(0, 2, 4), (3, 0, 4), (3, 2, 0)])
+def test_load_weights_rejects_zero_width(tmp_path, dims):
+    # init_mlp refuses such dims; a file with them must not load as a constant predictor
+    k = dims.index(0)
+    path = tmp_path / "zero.rmlp"
+    payload = sum(dims[l] * dims[l + 1] + dims[l + 1] for l in range(len(dims) - 1))
+    path.write_bytes(b"RMLP1" + struct.pack(f"<{len(dims) + 1}I", len(dims) - 1, *dims) + bytes(4 * payload))
+    with pytest.raises(FormatError) as ei:
+        load_weights(path)
+    assert (str(ei.value), ei.value.offset) == (f"{path}: layer width {k} is 0 (byte offset {9 + 4 * k})", 9 + 4 * k)
 
 
 def _map_file(path):
