@@ -114,9 +114,9 @@ def _cmd_sparsify(args):
     if kmap.data.shape != pred.data.shape[:2]:
         raise FormatError(f"kappa map {kmap.data.shape} does not match normal maps", offset=5)
     err_grid = metrics.angular_errors(pred, gt)
-    ok = pred.valid & gt.valid & kmap.valid
+    ok = ~np.isnan(err_grid) & kmap.valid
     errs = err_grid[ok]
-    unc = expected_angular_error(kmap.data.astype(np.float64)[ok])
+    unc = expected_angular_error(kmap.data[ok])
     est = metrics.sparsification(errs, unc, metric=args.metric)
     orc = metrics.oracle_curve(errs, metric=args.metric)
     if args.out_csv:
@@ -188,7 +188,7 @@ def _cmd_expected_error(args):
 
 def _cmd_select_pixels(args):
     kmap = mapio.read_kappa_map(args.kappa_map)
-    unc = np.where(kmap.valid, expected_angular_error(np.nan_to_num(kmap.data.astype(np.float64))), np.nan)
+    unc = expected_angular_error(np.nan_to_num(kmap.data))  # read at valid pixels only
     cfg = SelectionConfig(r_s=args.rs, beta_ug=args.beta)
     sel = select_pixels(unc, kmap.valid, cfg, RngState(args.seed))
     mapio.write_selection_csv(sel, args.out_csv)

@@ -90,31 +90,21 @@ def _direction(n):
 
 
 def _log_sinh_over_k_minus_k(k):
-    """log(sinh(k) / k) - k = log((1 - exp(-2k)) / 2k), stable over the whole kappa range (0 at k = 0)."""
-    k = np.asarray(k, dtype=np.float64)
-    out = np.empty_like(k)
-    small = k < 1e-4
-    ks = k[small]
-    k2 = ks * ks
-    # sinh(k)/k = 1 + k^2/6 + k^4/120 + k^6/5040 + O(k^8)
-    out[small] = np.log1p(k2 / 6.0 + k2 * k2 / 120.0 + k2 * k2 * k2 / 5040.0) - ks
-    kl = k[~small]
-    with np.errstate(over="ignore"):  # -2k overflows only where expm1(-2k) is -1 anyway
-        out[~small] = np.log(-np.expm1(-2.0 * kl) / kl) - math.log(2.0)
-    return out
+    """log(sinh(k) / k) - k = log((1 - exp(-2k)) / 2k) of one float, stable over the whole kappa range (0 at k = 0)."""
+    if k < 1e-4:
+        k2 = k * k
+        # sinh(k)/k = 1 + k^2/6 + k^4/120 + k^6/5040 + O(k^8)
+        return float(np.log1p(k2 / 6.0 + k2 * k2 / 120.0 + k2 * k2 * k2 / 5040.0) - k)
+    # a float -2k overflows to -inf without a warning, where expm1(-2k) is -1 anyway
+    return float(np.log(-np.expm1(-2.0 * k) / k) - math.log(2.0))
 
 
 def _coth_minus_inv(k):
-    """coth(k) - 1/k, through a series below 1e-4, where the difference cancels."""
-    k = np.asarray(k, dtype=np.float64)
-    out = np.empty_like(k)
-    small = k < 1e-4
-    ks = k[small]
-    # coth(k) - 1/k = k/3 - k^3/45 + 2 k^5/945 - k^7/4725 + O(k^9)
-    out[small] = ks / 3.0 - ks**3 / 45.0 + 2.0 * ks**5 / 945.0 - ks**7 / 4725.0
-    km = k[~small]
-    out[~small] = 1.0 / np.tanh(km) - 1.0 / km
-    return out
+    """coth(k) - 1/k of one float, through a series below 1e-4, where the difference cancels."""
+    if k < 1e-4:
+        # coth(k) - 1/k = k/3 - k^3/45 + 2 k^5/945 - k^7/4725 + O(k^9)
+        return k / 3.0 - k**3 / 45.0 + 2.0 * k**5 / 945.0 - k**7 / 4725.0
+    return float(1.0 / np.tanh(k) - 1.0 / k)
 
 
 def _exp_neg_pi_k(k):
@@ -135,7 +125,7 @@ def vonmf_pdf(params, n):
 def vonmf_nll(params, n_gt):
     """Negative log likelihood of ``n_gt`` under vonMF, without the log(4 pi) constant."""
     t = float(np.clip(dot3(params.mu, _direction(n_gt)), -1.0, 1.0))
-    return params.kappa * (1.0 - t) + float(_log_sinh_over_k_minus_k(params.kappa))
+    return params.kappa * (1.0 - t) + _log_sinh_over_k_minus_k(params.kappa)
 
 
 def vonmf_nll_grad(params, n_gt):
@@ -147,7 +137,7 @@ def vonmf_nll_grad(params, n_gt):
     mu, k = params.mu, params.kappa
     n = _direction(n_gt)
     t = min(1.0, max(-1.0, float(dot3(mu, n))))
-    d_kappa = float(_coth_minus_inv(k)) - t
+    d_kappa = _coth_minus_inv(k) - t
     d_mu = -k * (n - t * mu)
     d_mu = d_mu - dot3(d_mu, mu) * mu
     return NllGradient(d_mu=d_mu, d_kappa=d_kappa)

@@ -50,9 +50,8 @@ __all__ = [
     "ause",
 ]
 
-THRESHOLDS_DEG = (5.0, 7.5, 11.25, 22.5, 30.0)
-
 _PCT_KEYS = {5.0: "pct_5", 7.5: "pct_7_5", 11.25: "pct_11_25", 22.5: "pct_22_5", 30.0: "pct_30"}
+THRESHOLDS_DEG = tuple(_PCT_KEYS)
 METRIC_NAMES = ("mean", "median", "rmse") + tuple(_PCT_KEYS.values())
 
 
@@ -72,15 +71,14 @@ class MetricsReport:
 def angular_errors(pred, gt):
     """Per-pixel angular error in degrees between two normal maps.
 
-    Returns an (H, W) float array with NaN wherever either map is
-    invalid.  Raises ShapeError when the maps disagree in size.
+    Returns an (H, W) float array; an invalid pixel of either map is a NaN
+    triplet, so its angle is a NaN, of no fixed payload.  Raises ShapeError
+    when the maps disagree in size.
     """
     if pred.data.shape != gt.data.shape:
         raise ShapeError(f"map shapes differ: {pred.data.shape} vs {gt.data.shape}")
     with np.errstate(invalid="ignore"):  # signalling NaN payloads are invalid pixels too
-        err = np.degrees(angle_between(pred.data, gt.data))
-    err[~(pred.valid & gt.valid)] = np.nan
-    return err
+        return np.degrees(angle_between(pred.data, gt.data))
 
 
 def valid_errors(error_grid):

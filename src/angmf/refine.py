@@ -159,13 +159,11 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
 
 
 def _backward_batch(mlp, rows, fwd, n_gt):
-    """Mean-nll gradients (dWs, dbs) over ``rows`` of ``fwd = _forward_batch(mlp, x)``."""
+    """Mean-nll gradients (dWs, dbs) over the non-empty ``rows`` of ``fwd = _forward_batch(mlp, x)``."""
     mu, kappa, (acts, z, r) = fwd
     n_gt = np.asarray(n_gt, dtype=np.float64)
     if n_gt.shape != (len(rows), 3):
         raise ShapeError(f"expected ({len(rows)}, 3) targets, got {n_gt.shape}")
-    if len(rows) == 0:
-        raise EmptyBatch("cannot backpropagate an empty batch")
     delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], z[rows, 3]) / len(rows)
 
     dtype = acts[0].dtype  # the forward's product dtype; the head above is float64
@@ -254,9 +252,9 @@ def train(frames, config):
     rng = RngState(config.seed)
     mlp = init_mlp(frames[0].features.shape[-1], rng=rng)
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
-    # float32 features make every forward and backward product float32
+    # float32 features make every product float32; dot3 and log_map widen the float32 gt exactly
     data = [(f.features.reshape(-1, f.features.shape[-1]).astype(np.float32),
-             f.gt.data.reshape(-1, 3).astype(np.float64), f.gt.valid.ravel()) for f in frames]
+             f.gt.data.reshape(-1, 3), f.gt.valid.ravel()) for f in frames]
 
     stats, work, reuse = [], {}, None
     # a diverging run overflows in its matmuls and updates; the non-finite

@@ -35,7 +35,7 @@ def dot3(u, v):
     taken in float64, which widens float32 input exactly, so a float32 map
     needs no float64 copy.  Where the sum is NaN, so is this; numpy's own
     loops do not agree on which NaN payload an add returns, and no caller
-    lets one reach its output.
+    promises one.
     """
     d = np.multiply(u[..., 0], v[..., 0], dtype=np.float64)
     d += np.multiply(u[..., 1], v[..., 1], dtype=np.float64)

@@ -123,17 +123,18 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
         dist = dist_per_edge[cols, nearest]
         # neighbor plane: the one on the other side of the nearest edge
         left_of_edge = (cols + 0.5) < edges[nearest]
-        neighbor_of_col = np.where(left_of_edge, nearest + 1, nearest)
-        neighbor_of_col = np.clip(neighbor_of_col, 0, n_planes - 1)
+        neighbor_of_col = np.where(left_of_edge, nearest + 1, nearest)  # nearest <= n_planes - 2
     else:
         dist = np.full(width, np.inf)
-        neighbor_of_col = plane_of_col.copy()
+        neighbor_of_col = plane_of_col
     boundary_col = dist < BAND_PX
 
     own = normals[plane_of_col]  # (W, 3)
     neighbor = normals[neighbor_of_col]
     boundary_mask = np.broadcast_to(boundary_col, (height, width)).copy()
 
+    # astype keeps the broadcast's non-C order; without the copy, reshape(-1, 3)
+    # below would return a copy and the flips written through it would be lost
     gt = np.broadcast_to(own, (height, width, 3)).astype(np.float64).copy()
     n_boundary = int(boundary_mask.sum())
     if n_boundary:

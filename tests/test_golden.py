@@ -27,13 +27,15 @@ them by hand.
 
 Scope: every command but ``refine-demo`` avoids BLAS (elementwise ufuncs,
 sorts and pairwise sums only; 3-vector dots and norms go through
-``sphere.dot3``), but numpy's SIMD exp, log, sin, cos and arccos round
-differently with and without AVX-512.  Those digests are therefore keyed
-by a fingerprint of the ufuncs' bits.  ``refine-demo`` also goes through
-the MLP's matrix products, whose bits depend on the BLAS kernel, so its
-digests are keyed by the ufunc fingerprint plus the core name of numpy's
-bundled OpenBLAS, and they run on one BLAS thread, since the thread count
-moves the matrix products' bits too.  A host whose key has no entry, or
+``sphere.dot3``; a walk of the package's syntax trees fails on any
+BLAS call or ``@`` outside ``refine``), but numpy's SIMD exp, log, sin,
+cos and arccos round differently with and without AVX-512.  Those
+digests are therefore keyed by a fingerprint of the ufuncs' bits.
+``refine-demo`` also goes through the MLP's matrix products, whose bits
+depend on the BLAS kernel, so its digests are keyed by the ufunc
+fingerprint plus the core name of numpy's bundled OpenBLAS, and they run
+on one BLAS thread, since the thread count moves the matrix products'
+bits too.  A host whose key has no entry, or
 whose OpenBLAS does not report a core name, skips the ``refine-demo``
 cases.  After a deliberate output change, rewrite the entries of this
 host, of the non-AVX-512 kernels and of the Haswell BLAS core with
@@ -45,6 +47,7 @@ host, of the non-AVX-512 kernels and of the Haswell BLAS core with
         PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import contextlib
 import ctypes
 import hashlib
@@ -149,6 +152,8 @@ ERRORS = {
                          "angmf fit: error: argument --samples-csv: no such file: 'nope.csv'"),
     "fit-tol-zero": (["fit", "--samples-csv", "pair.csv", "--tol", "0"], 2,
                      "angmf fit: error: argument --tol: must be finite and > 0: '0'"),
+    "fit-tol-word": (["fit", "--samples-csv", "pair.csv", "--tol", "abc"], 2,
+                     "angmf fit: error: argument --tol: not a number: 'abc'"),
     "fit-columns": (["fit", "--samples-csv", "cols.csv"], 3,
                     "error: cols.csv: expected 3 columns, got 2 (byte offset 12)"),
     "fit-non-numeric": (["fit", "--samples-csv", "word.csv"], 3,
@@ -396,6 +401,30 @@ def test_median_bits_do_not_depend_on_the_blas_core():
                            text=True, check=True, timeout=60).stdout
             for core_env in (env, {**env, "OPENBLAS_CORETYPE": "Sandybridge"})]
     assert bits[0] == bits[1] != ""
+
+
+# numpy calls that go through BLAS (ndarray.dot included), and np.linalg
+BLAS_ATTRIBUTES = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
+
+
+def _blas_uses(path):
+    """``(line, what)`` of each BLAS attribute and ``@`` product in a module's code (docstrings aside)."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+    return uses
+
+
+def test_blas_only_under_the_mlp():
+    # every golden but refine-demo's is keyed by the ufunc fingerprint alone,
+    # which holds only while no other module reaches BLAS
+    package = Path(angmf.__file__).parent
+    assert _blas_uses(package / "refine.py")  # the walk sees the MLP's products
+    found = {p.name: _blas_uses(p) for p in sorted(package.glob("*.py")) if p.name != "refine.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def _exit_and_stderr(argv):

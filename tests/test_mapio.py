@@ -90,6 +90,12 @@ def test_normal_map_constructor_validation():
     bad = np.array([[[np.nan, 0.0, 1.0]]], dtype=np.float32)  # mixed NaN
     with pytest.raises(DomainError):
         NormalMap(bad)
+    with pytest.raises(ShapeError):
+        NormalMap.from_vectors(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        NormalMap.from_vectors(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeError):
+        NormalMap.from_vectors(unit_grid(2, 3), valid=np.ones((3, 2), dtype=bool))
 
 
 def test_normal_map_accepts_float32_rounding():
@@ -574,6 +580,18 @@ def test_load_weights_rejects_zero_width(tmp_path, dims):
     with pytest.raises(FormatError) as ei:
         load_weights(path)
     assert (str(ei.value), ei.value.offset) == (f"{path}: layer width {k} is 0 (byte offset {9 + 4 * k})", 9 + 4 * k)
+
+
+@pytest.mark.parametrize("raw", [
+    b"RMLP1" + struct.pack("<I", 0),  # no layer
+    b"RMLP1" + struct.pack("<II", 2, 3),  # two layers, cut inside their three widths
+])
+def test_load_weights_truncated_dimension_table(tmp_path, raw):
+    path = tmp_path / "cut.rmlp"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as ei:
+        load_weights(path)
+    assert (str(ei.value), ei.value.offset) == (f"{path}: truncated dimension table (byte offset 9)", 9)
 
 
 def _map_file(path):

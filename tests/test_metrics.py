@@ -253,6 +253,9 @@ def test_curve_validation():
             sparsification(e, np.ones(10), metric="mean"),
             oracle_curve(e, metric="rmse"),
         )
+    with pytest.raises(ShapeError):
+        ause(SparsificationCurve(metric="mean", values=np.zeros(100)),
+             SparsificationCurve(metric="mean", values=np.zeros(99)))
 
 
 # ------------------------------------------- bit equality with np.median / np.mean

@@ -52,6 +52,8 @@ def test_normalize_zero_raises():
 def test_normalize_bad_last_axis():
     with pytest.raises(DegenerateVector):
         normalize([1.0, 2.0])
+    with pytest.raises(DegenerateVector):
+        as_unit(np.zeros((4, 2)))
 
 
 def test_as_unit_accepts_drift():
