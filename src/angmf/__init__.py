@@ -27,7 +27,6 @@ from .errors import (
     EmptyBatch,
     EmptyInput,
     FormatError,
-    InsufficientPixels,
     NormalizationError,
     NumericalError,
     ShapeError,

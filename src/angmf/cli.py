@@ -103,10 +103,6 @@ def _cmd_eval(args):
     return 0
 
 
-def _oracle_csv_path(path):
-    return path + ".oracle.csv" if not path.endswith(".csv") else path[:-4] + ".oracle.csv"
-
-
 def _cmd_sparsify(args):
     pred = mapio.read_normal_map(args.pred)
     gt = mapio.read_normal_map(args.gt)
@@ -121,7 +117,7 @@ def _cmd_sparsify(args):
     orc = metrics.oracle_curve(errs, metric=args.metric)
     if args.out_csv:
         mapio.write_curve_csv(est, args.out_csv)
-        mapio.write_curve_csv(orc, _oracle_csv_path(args.out_csv))
+        mapio.write_curve_csv(orc, args.out_csv.removesuffix(".csv") + ".oracle.csv")
     payload = {
         "metric": args.metric,
         "ausc_estimated": metrics.ausc(est),

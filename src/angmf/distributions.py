@@ -86,7 +86,7 @@ def _direction(n):
     n = np.asarray(n, dtype=np.float64)
     if n.shape != (3,):
         raise ShapeError(f"expected a single direction of shape (3,), got {n.shape}")
-    return n
+    return as_unit(n)
 
 
 def _log_sinh_over_k_minus_k(k):

@@ -33,10 +33,6 @@ class DegenerateResultant(AngmfError):
     """Sample directions cancel out, so the mean direction is undefined."""
 
 
-class InsufficientPixels(AngmfError):
-    """Fewer valid pixels are available than the requested selection size."""
-
-
 class NormalizationError(AngmfError):
     """A direction head produced a vector too short to normalize."""
 

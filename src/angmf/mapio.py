@@ -121,8 +121,7 @@ class NormalMap(_Grid):
             valid = np.asarray(valid, dtype=bool)
             if valid.shape != v.shape[:2]:
                 raise ShapeError(f"valid mask {valid.shape} does not match {v.shape[:2]}")
-        if np.any(valid):
-            out[valid] = normalize(v[valid])
+        out[valid] = normalize(v[valid])
         return cls(out.astype(np.float32))
 
     @property

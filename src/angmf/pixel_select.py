@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientPixels, ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = ["SelectionConfig", "PixelSelection", "select_pixels"]
 
@@ -59,9 +59,7 @@ def select_pixels(uncertainty, valid, config, rng):
 
     candidates = np.flatnonzero(v)
     n_valid = candidates.size
-    n_select = int(np.floor(config.r_s * n_valid + 0.5))  # round half up
-    if n_select > n_valid:
-        raise InsufficientPixels(f"need {n_select} pixels but only {n_valid} are valid")
+    n_select = int(np.floor(config.r_s * n_valid + 0.5))  # round half up; <= n_valid as r_s <= 1
     n_importance = int(np.floor(config.beta_ug * n_select))
 
     # the top n_importance values, ties at the threshold by ascending index
@@ -72,10 +70,11 @@ def select_pixels(uncertainty, valid, config, rng):
     importance = candidates[take]
     pool = candidates[~take]
 
-    # partial Fisher-Yates in place; one uniform block equals n_coverage scalar draws
+    # partial Fisher-Yates in place; one uniform block equals n_coverage scalar draws.
+    # uniform() <= 1 - 2**-53, so u * m rounds below m and j stays inside the pool
     n_coverage = n_select - n_importance
     i = np.arange(n_coverage)
-    j = np.minimum(i + (rng.uniform(n_coverage) * (pool.size - i)).astype(np.intp), pool.size - 1)
+    j = i + (rng.uniform(n_coverage) * (pool.size - i)).astype(np.intp)
     for a, b in enumerate(j.tolist()):
         pool[a], pool[b] = pool[b], pool[a]
     return PixelSelection(importance=importance, coverage=np.sort(pool[:n_coverage]))

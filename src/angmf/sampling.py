@@ -132,6 +132,5 @@ def sample_vonmf(params, count, rng):
     else:
         with np.errstate(divide="ignore"):
             t = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * k)) / k
-        t = np.maximum(t, -1.0)  # u == 0 with exp(-2k) underflowed
-    alpha = np.arccos(np.clip(t, -1.0, 1.0))
+    alpha = np.arccos(np.clip(t, -1.0, 1.0))  # the clip maps -inf (u == 0, exp(-2k) underflowed) to -1
     return _frame(params.mu, alpha, phi)

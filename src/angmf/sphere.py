@@ -118,9 +118,7 @@ def tangent_basis(mu):
     cross product well conditioned everywhere on the sphere.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    helper = np.zeros_like(mu)
-    idx = np.argmin(np.abs(mu), axis=-1)
-    np.put_along_axis(helper, np.expand_dims(idx, -1), 1.0, axis=-1)
+    helper = np.eye(3)[np.argmin(np.abs(mu), axis=-1)]
     e1 = np.cross(helper, mu)
     e1 = e1 / np.sqrt(dot3(e1, e1))[..., None]
     e2 = np.cross(mu, e1)

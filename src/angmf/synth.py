@@ -130,19 +130,12 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     boundary_col = dist < BAND_PX
 
     own = normals[plane_of_col]  # (W, 3)
-    neighbor = normals[neighbor_of_col]
     boundary_mask = np.broadcast_to(boundary_col, (height, width)).copy()
 
-    # astype keeps the broadcast's non-C order; without the copy, reshape(-1, 3)
-    # below would return a copy and the flips written through it would be lost
-    gt = np.broadcast_to(own, (height, width, 3)).astype(np.float64).copy()
-    n_boundary = int(boundary_mask.sum())
-    if n_boundary:
-        flips = rng.uniform(n_boundary) < contamination
-        flat_gt = gt.reshape(-1, 3)
-        b_idx = np.flatnonzero(boundary_mask.ravel())
-        nb = np.broadcast_to(neighbor, (height, width, 3)).reshape(-1, 3)
-        flat_gt[b_idx[flips]] = nb[b_idx[flips]]
+    # boolean-mask assignment fills row-major, the documented draw order
+    flip = np.zeros((height, width), dtype=bool)
+    flip[boundary_mask] = rng.uniform(np.count_nonzero(boundary_mask)) < contamination
+    gt = np.where(flip[..., None], normals[neighbor_of_col], own)
 
     if jitter_kappa is not None:
         gt = draw_angmf(gt.reshape(-1, 3), jitter_kappa, height * width, rng).reshape(height, width, 3)
@@ -150,7 +143,7 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     noise = rng.uniform(5 * height * width).reshape(height, width, 5)
     features = np.empty((height, width, FEATURE_DIM))
     features[..., 0:3] = own[None, :, :] + noise_amp * (2.0 * noise[..., 0:3] - 1.0)
-    features[..., 3] = np.broadcast_to(np.minimum(dist, 4.0) / 4.0, (height, width))
+    features[..., 3] = np.minimum(dist, 4.0) / 4.0
     features[..., 4:6] = noise[..., 3:5]
 
     return SyntheticFrame(

@@ -429,6 +429,15 @@ def test_simulate_boundary_median_wins(tmp_path):
     assert payload["median_error_deg_avg"] < payload["mean_error_deg_avg"]
 
 
+def test_simulate_boundary_one_sample_ties(tmp_path):
+    # the mean and the median of one sample are that sample
+    out = str(tmp_path / "sim.json")
+    assert main(["simulate-boundary", "--seed", "3", "--samples", "1", "--trials", "3", "--out-json", out]) == 0
+    payload = json.loads(open(out).read())
+    assert (payload["median_wins"], payload["mean_wins"], payload["ties"]) == (0, 0, 3)
+    assert payload["median_error_deg_avg"] == payload["mean_error_deg_avg"]
+
+
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-3"], ["--samples", "0"]])
 def test_simulate_boundary_rejects_non_positive_counts(argv, capsys):
     with pytest.raises(SystemExit) as ei:

@@ -469,6 +469,34 @@ def test_grad_shape_errors():
         vonmf_pdf(VonMFParams(EZ, 1.0), np.ones(2))
 
 
+_SINGLE_DIRECTION = [
+    (VonMFParams, vonmf_nll), (VonMFParams, vonmf_nll_grad), (VonMFParams, vonmf_pdf),
+    (AngMFParams, angmf_nll), (AngMFParams, angmf_nll_grad), (AngMFParams, angmf_pdf),
+]
+
+
+@pytest.mark.parametrize("make, fn", _SINGLE_DIRECTION)
+@pytest.mark.parametrize("n", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], 5.0 * EZ, [0.0, 0.0, 1.0 + 2e-6]])
+def test_single_direction_rejects_off_sphere_n(make, fn, n):
+    # n_gt gets mu's as_unit policy: before it, vonmf_nll(5 e_z) read the
+    # nll at the mode and vonmf_nll_grad(NaN) gave a finite d_kappa
+    with pytest.raises(DegenerateVector):
+        fn(make(EZ, 2.0), np.array(n))
+
+
+@pytest.mark.parametrize("make, fn", _SINGLE_DIRECTION)
+def test_single_direction_renormalises_small_drift(make, fn):
+    gen = np.random.default_rng(12)
+    p = make(random_unit(gen), 3.0)
+    n = random_unit(gen)
+    a, b = fn(p, n), fn(p, n * (1.0 + 5e-7))
+    if isinstance(a, float):
+        assert close(a, b, rel=1e-14)
+    else:
+        assert close(a.d_kappa, b.d_kappa, rel=1e-14)
+        assert np.allclose(a.d_mu, b.d_mu, rtol=1e-14, atol=1e-15)
+
+
 # -------------------------------------------------- one formula per density
 
 

@@ -96,6 +96,19 @@ def test_median_majority_pins_sample_point():
     assert math.degrees(angle_between(mean_direction(s), EZ)) > 5.0
 
 
+def test_median_leaves_a_sample_point_start():
+    # the mean is exactly the single sample at +z, where the pull of 2
+    # (3 samples at +x, 1 at -x) beats its unit resistance, so the first
+    # step is the sample-point step g / n, and the median ends on the triple
+    b = [0.125, 0.0, math.sqrt(63 / 64)]
+    s = np.array([EZ, b, b, b, [-0.375, 0.0, math.sqrt(55 / 64)]])
+    assert np.array_equal(mean_direction(s), EZ)
+    med, rep = spherical_median(s, full_output=True)
+    assert rep.converged and rep.iterations > 1
+    assert angle_between(med, np.array(b)) < 1e-9
+    assert rep.mean_angle < rep.start_mean_angle
+
+
 def test_median_symmetric_cross():
     # four samples at equal angles around +z: unique minimizer at +z
     tilt = 0.4

@@ -71,15 +71,16 @@ def test_normal_round_trip_bit_exact(tmp_path):
 
 def test_normal_invalid_pixels_round_trip(tmp_path):
     vecs = np.array([[EZ, EZ]], dtype=float)
-    valid = np.array([[True, False]])
-    m = NormalMap.from_vectors(vecs, valid=valid)
-    assert m.valid.tolist() == [[True, False]]
-    path = tmp_path / "v.snm"
-    write_normal_map(m, path)
-    back = read_normal_map(path)
-    assert np.array_equal(back.valid, valid)
-    assert np.all(np.isnan(back.data[0, 1]))
-    assert back == m
+    # all False: normalize gets a (0, 3) array and the map is all NaN
+    for valid in (np.array([[True, False]]), np.array([[False, False]])):
+        m = NormalMap.from_vectors(vecs, valid=valid)
+        assert m.valid.tolist() == valid.tolist()
+        path = tmp_path / "v.snm"
+        write_normal_map(m, path)
+        back = read_normal_map(path)
+        assert np.array_equal(back.valid, valid)
+        assert np.all(np.isnan(back.data[~valid]))
+        assert back == m
 
 
 def test_normal_map_constructor_validation():

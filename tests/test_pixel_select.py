@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angmf import PixelSelection, RngState, SelectionConfig, select_pixels
-from angmf.errors import DomainError, InsufficientPixels, ShapeError
+from angmf.errors import DomainError, ShapeError
 
 
 def flat_case(n=100, seed=0):
@@ -109,13 +109,30 @@ def test_coverage_uniformity():
     assert np.all(np.abs(counts - 5000) < 5 * 50.0)
 
 
-def test_insufficient_pixels_guard():
-    # unreachable through a validated config (N_s rounds to <= n_valid),
-    # so poke the frozen config to confirm the guard itself
-    cfg = SelectionConfig(1.0, 0.5)
-    object.__setattr__(cfg, "r_s", 1.6)
-    with pytest.raises(InsufficientPixels):
-        select_pixels(np.arange(5.0), np.ones(5, dtype=bool), cfg, RngState(0))
+class MaxUniform:
+    """The largest double RngState.uniform can return, 1 - 2**-53, on every draw."""
+
+    def uniform(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 1000, 4097])
+@pytest.mark.parametrize("r_s, beta_ug", [(1.0, 0.0), (0.4, 0.7), (0.5, 0.0), (1.0, 0.5)])
+def test_coverage_stays_in_pool_at_largest_uniform(n, r_s, beta_ug):
+    # every Fisher-Yates pick u * m rounds below the m pool slots left, so
+    # each swap takes the last slot and no index can run past the pool
+    unc = np.random.default_rng(n).uniform(size=n)
+    valid = np.ones(n, dtype=bool)
+    sel = select_pixels(unc, valid, SelectionConfig(r_s, beta_ug), MaxUniform())
+    n_select = int(np.floor(r_s * n + 0.5))
+    n_importance = int(np.floor(beta_ug * n_select))
+    assert sel.importance.size == n_importance
+    assert sel.coverage.size == n_select - n_importance
+    pool = np.setdiff1d(np.arange(n), sel.importance)
+    assert np.all(np.isin(sel.coverage, pool))
+    k = sel.coverage.size
+    expected = pool[:k - 1].tolist() + [pool[-1]] if k else []
+    assert sel.coverage.tolist() == sorted(expected)
 
 
 def test_zero_valid_zero_selected_ok():

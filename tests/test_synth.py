@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from angmf import RngState, TwoPlaneScene, make_frame, sample_boundary_pixels
+from angmf import NormalMap, RngState, TwoPlaneScene, make_frame, sample_boundary_pixels
 from angmf.errors import DegenerateVector, DomainError
 from angmf.sphere import angle_between, normalize
 from angmf.synth import BAND_PX, FEATURE_DIM
@@ -125,6 +125,53 @@ def test_three_plane_strips_and_remainder():
     assert np.allclose(own[:, 0] @ EZ, 1.0, atol=1e-7)
     assert np.allclose(own[:, 4] @ EX, 1.0, atol=1e-7)
     assert np.allclose(own[:, 9] @ TILTED, 1.0, atol=1e-7)
+
+
+def _reference_frame(width, height, normals, rng, contamination, noise_amp=0.05):
+    """make_frame without jitter, one pixel at a time in row-major order, one scalar draw each."""
+    n_planes = len(normals)
+    strip = width // n_planes
+    edges = [strip * k for k in range(1, n_planes)]
+    cols = []
+    for c in range(width):
+        d = [abs(c + 0.5 - e) for e in edges]
+        dist = min(d, default=math.inf)
+        own = min(c // strip, n_planes - 1)
+        nearest = d.index(dist) if edges else own
+        neighbor = nearest + 1 if edges and c + 0.5 < edges[nearest] else nearest
+        cols.append((own, neighbor, dist))
+    gt = np.empty((height, width, 3))
+    mask = np.zeros((height, width), dtype=bool)
+    for r in range(height):
+        for c, (own, neighbor, dist) in enumerate(cols):
+            mask[r, c] = dist < BAND_PX
+            flip = mask[r, c] and rng.uniform() < contamination
+            gt[r, c] = normals[neighbor if flip else own]
+    features = np.empty((height, width, FEATURE_DIM))
+    for r in range(height):
+        for c, (own, _, dist) in enumerate(cols):
+            u = [rng.uniform() for _ in range(5)]
+            for i in range(3):
+                features[r, c, i] = normals[own][i] + noise_amp * (2.0 * u[i] - 1.0)
+            features[r, c, 3] = min(dist, 4.0) / 4.0
+            features[r, c, 4:6] = u[3:5]
+    return NormalMap.from_vectors(gt), features, mask
+
+
+@pytest.mark.parametrize("width, height, normals", [
+    (8, 3, [TILTED]), (12, 3, [EZ, EX]), (11, 4, [EZ, TILTED]),  # 11: a remainder column
+    (10, 2, [EZ, EX, TILTED]), (17, 5, [TILTED, EZ, EX]),
+])
+@pytest.mark.parametrize("contamination", [0.0, 0.3])
+def test_frame_matches_per_pixel_reference(width, height, normals, contamination):
+    for seed in (1, 2):
+        rng, ref_rng = RngState(seed), RngState(seed)
+        f = make_frame(width, height, normals, rng, contamination=contamination)
+        gt, features, mask = _reference_frame(width, height, normals, ref_rng, contamination)
+        assert f.gt.data.tobytes() == gt.data.tobytes()
+        assert f.features.tobytes() == features.tobytes()
+        assert np.array_equal(f.boundary_mask, mask)
+        assert rng.counter == ref_rng.counter
 
 
 def test_frame_determinism():
