@@ -26,6 +26,10 @@ The CSVs of sample lists, sparsification curves, pixel selections and
 reports: indented by 2, keys sorted, one trailing newline.  Each float in a
 CSV is exactly its ``repr``.  Vector CSVs take that text from a numpy port of
 Ryu in the band 1e-4 <= |x| < 1 and from ``repr`` elsewhere (see _CSV_BATCH).
+They are read back to the bits ``float()`` gives each field: a vectorised
+parser (SWAR digits, Eisel-Lemire rounding) takes fields -?D*(.D*)? of at
+most 19 significant digits in blocks of plain ASCII rows, and ``float()``
+every other field, or a line walk every other block (see _CSV_BLOCK).
 """
 
 import json
@@ -244,7 +248,7 @@ def write_json(payload, path):
             f.write(text)
 
 
-# Rows per formatted or parsed CSV batch: few small string objects, or one
+# Rows per formatted CSV batch: few small string objects, or one
 # (3 * rows, 32)-byte field matrix, are alive at once.  Fields are float
 # reprs and ints, which csv.writer would never quote, so the joined lines are
 # exactly its bytes.  A vector field x = m2 * 2**(be - 1075) in the band
@@ -274,6 +278,15 @@ _PREFIX = np.frombuffer(b"".join((s + b"0." + b"0" * z).ljust(8, b"\0") for s in
 _DELIMS = np.frombuffer(b",\0\0\0,\0\0\0\r\n\0\0", dtype=np.uint32)
 
 
+def _mul128(a, b):
+    """(hi, lo): the 128-bit products of two uint64 arrays, on 32-bit limbs."""
+    m32, s32 = np.uint64(2**32 - 1), np.uint64(32)
+    a_lo, a_hi, b_lo, b_hi = a & m32, a >> s32, b & m32, b >> s32
+    ll, lh = a_lo * b_lo, a_lo * b_hi
+    cross = (ll >> s32) + (lh & m32) + a_hi * b_lo  # < 2**64
+    return a_hi * b_hi + (lh >> s32) + (cross >> s32), (cross << s32) | (ll & m32)
+
+
 def _shortest_digits(x):
     """(usable, digits, decpt) of a flat float64 array; usable x (see _CSV_BATCH) is 0.DIGITS * 10**decpt."""
     bits = x.view(np.uint64)
@@ -283,13 +296,7 @@ def _shortest_digits(x):
     qu = q.astype(np.uint64)
     pow5 = _POW5[1077 - bec - q]
     mv = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)
-    # 128-bit mv * 5**i on 32-bit limbs (mv < 2**55, 5**i < 2**52); vp adds 2 * 5**i, vm subtracts it
-    m32, s32 = np.uint64(2**32 - 1), np.uint64(32)
-    a_lo, a_hi, b_lo, b_hi = mv & m32, mv >> s32, pow5 & m32, pow5 >> s32
-    ll = a_lo * b_lo
-    cross = a_hi * b_lo + a_lo * b_hi
-    lo = ll + (cross << s32)
-    hi = a_hi * b_hi + (cross >> s32) + (lo < ll)
+    hi, lo = _mul128(mv, pow5)  # vr's 128 bits; vp adds 2 * 5**i, vm subtracts it
     lp, lm = lo + (pow5 << np.uint64(1)), lo - (pow5 << np.uint64(1))
     up = np.uint64(64) - qu
     vr = (hi << up) | (lo >> qu)
@@ -344,12 +351,12 @@ def _is_header(line):
     return line.strip().lower().replace(" ", "") == "x,y,z"
 
 
-def _data_lines(raw):
-    """(byte offset, stripped text) of each non-empty line after an optional x,y,z header."""
+def _data_lines(raw, header=True):
+    """(byte offset, stripped text) of each non-empty line, less an x,y,z first line when ``header``."""
     offset = 0
     for i, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(keepends=True)):
         stripped = line.strip()
-        if stripped and not (i == 0 and _is_header(stripped)):
+        if stripped and not (header and i == 0 and _is_header(stripped)):
             yield offset, stripped
         offset += len(line.encode("utf-8"))
 
@@ -371,33 +378,130 @@ def _bad_line_error(raw, path):
     return FormatError(f"{path}: non-finite field in {stripped!r}", offset=offset)
 
 
+# Vector CSVs are read in blocks of about _CSV_BLOCK bytes, cut after a "\n".
+# A block takes the fast path when its bytes are printable ASCII, "\r" and
+# "\n", each "\r" comes right before a "\n" and its delimiters repeat as ",",
+# ",", "\n"; any other block goes through the line walk of _bad_line_error.
+# A fast field -?D*(.D*)? of at most 24 bytes after its sign is read from the
+# 24 bytes that end it, as 3 little-endian uint64 words: the dot is deleted by
+# moving the bytes below it up one, the bytes below the first digit become
+# "0", and each word's 8 digits become one integer by SWAR.  Its value w *
+# 10**-k (w < 10**19, k <= 23) is rounded by Eisel-Lemire (Lemire, "Number
+# parsing at a gigabyte per second", Softw. Pract. Exp. 2021): w, shifted up
+# to its top bit, times the top 64 bits of 10**-k's truncated mantissa gives
+# the double's 54 leading bits in its high word, unless the truncation could
+# carry into it (its lowest 9 bits are ones and the low word is within w of
+# overflowing) or the product sits exactly halfway between two doubles.  Those
+# fields are left to float(), as are the rest of float()'s grammar (exponents,
+# "_", "+", "inf", "nan", spaces) and 20 or more significant digits.
+_CSV_BLOCK = 1 << 18
+_PAD = 24  # bytes before a block, so that every field has 24 bytes that end it
+_ZEROS = np.uint64(0x3030303030303030)
+# the top k bytes of a 24-byte window, as its 3 little-endian uint64 words (lowest first), k = 0..24
+_TOP = np.array([[((1 << 8 * k) - 1) << 8 * (24 - k) >> 64 * i & (2**64 - 1) for i in range(3)] for k in range(25)],
+                dtype=np.uint64)
+# 10**-k = m * 2**-(127 + k + bitlen(5**k)), 2**127 <= m < 2**128, for k = 0..23: the top 64 bits of floor(m)
+_TEN = np.array([((1 << 127 + (5**k).bit_length()) // 5**k if k else 1 << 127) >> 64 for k in range(24)],
+                dtype=np.uint64)
+
+
+def _fast_fields(block):
+    """(values, (index, bytes) pairs left to float()) of a block after _PAD bytes, or None off the fast path."""
+    u = np.uint64
+    b = np.frombuffer(block, np.uint8)
+    t = b[_PAD:]
+    d = np.flatnonzero((t == 44) | (t == 10))  # where each field ends
+    cr = t[d - 1] == 13
+    # every third delimiter is a "\n", and the control bytes are those "\n" and a "\r" before each of them at most
+    if (d.size % 3 or t.max() > 126 or not (t[d[2::3]] == 10).all()
+            or np.count_nonzero(t < 32) != d.size // 3 + np.count_nonzero(cr[2::3])):
+        return None
+    e = d - cr
+    s = np.empty_like(d)
+    s[0], s[1:] = 0, d[:-1] + 1
+    neg = t[s] == 45
+    n = e - s - neg  # bytes after the sign
+    dots = np.flatnonzero(t == 46)
+    own = dots.size == d.size and (dots < e).all() and (dots[1:] > d[:-1]).all()  # one dot in every field
+    at = slice(None) if own else np.searchsorted(d, dots)
+    j = np.zeros_like(d)  # the dot's place from the field's end, 0 without one
+    j[at] = e[at] - dots
+    k = np.maximum(j - 1, 0)  # digits after the dot
+    digits = n - (j > 0)
+    x = np.lib.stride_tricks.sliding_window_view(b, 24)[e].view("<u8")
+    up = x << u(8)
+    up.reshape(-1)[1:] |= x.reshape(-1)[:-1] >> u(56)  # byte 0 comes from the previous window but is never kept
+    y = up ^ ((x ^ up) & _TOP.take(np.where(j > 0, k, 24), axis=0, mode="clip"))
+    y = ((y ^ _ZEROS) & _TOP.take(digits, axis=0, mode="clip")) ^ _ZEROS
+    f0 = u(0xF0F0F0F0F0F0F0F0)
+    bad = ((y & f0) | ((y + u(0x0606060606060606)) & f0) >> u(4)) ^ u(0x3333333333333333)  # 0 on 8 digits
+    y -= _ZEROS
+    y = y * u(10) + (y >> u(8))
+    m = u(0x000000FF000000FF)
+    y = ((y & m) * u(100 + (1000000 << 32)) + ((y >> u(16)) & m) * u(1 + (10000 << 32))) >> u(32)
+    w = y[:, 0] * u(10**16) + y[:, 1] * u(10**8) + y[:, 2]
+    fast = ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0) & (n <= 24) & (digits > 0) & (y[:, 0] < 1000)
+    width = np.frexp(w.astype(np.float64))[1].astype(np.uint64)
+    width -= (w >> (width - u(1))) == 0  # w's bit length: float(w) may round up to a power of two
+    man = w << (u(64) - width)
+    hi, lo = _mul128(man, _TEN.take(k, mode="clip"))
+    top = hi >> u(63)
+    mant = hi >> (top + u(9))
+    low9 = hi & u(0x1FF)
+    fast &= ~((low9 == 0x1FF) & (lo + man < man)) & ~((lo == 0) & (low9 == 0) & (mant & u(3) == 1))
+    # the biased exponent less one, which the rounded mantissa's 2**52 bit (or a carry to 2**53) adds back
+    exp2 = ((-217706 * k) >> 16) + 1021 + width.astype(np.intp) + top.astype(np.intp)
+    bits = (exp2.astype(np.uint64) << u(52)) + ((mant + (mant & u(1))) >> u(1))
+    bits[w == 0] = 0
+    bits |= neg.astype(np.uint64) << u(63)
+    left = np.flatnonzero(~fast)
+    return bits.view(np.float64), [(i, block[_PAD + a:_PAD + z]) for i, a, z in
+                                   zip(left.tolist(), s[left].tolist(), e[left].tolist())]
+
+
 def read_vectors_csv(path):
     """Read an x,y,z CSV back into an (N, 3) float array of finite values.
 
-    Lines are parsed in batches.  A batch that fails any check sends the
-    whole file through the line-by-line walk of ``_bad_line_error``, which
-    names the first malformed line (or, if there is none, the first
-    non-finite one) and its byte offset.
+    Every field gets the bits ``float()`` gives it; blank lines and an x,y,z
+    header on the first line are skipped.  Blocks of plain ASCII rows take a
+    vectorised parser (see _CSV_BLOCK), other blocks a line walk.  A row of
+    other than 3 fields, a field ``float()`` rejects or a non-finite value
+    sends the whole file through ``_bad_line_error``, which names the first
+    malformed line (or, if there is none, the first non-finite one) and its
+    byte offset.
     """
     with open(path, "rb") as f:
         raw = f.read()
-    lines = raw.decode("utf-8", errors="replace").splitlines()
-    start = 1 if lines and _is_header(lines[0]) else 0
-    out = np.empty((len(lines) - start, 3))
+    first = raw[:raw.find(b"\n") + 1 or len(raw)]
+    head = first.decode("utf-8", errors="replace").splitlines()
+    lo = len(first) if len(head) == 1 and _is_header(head[0]) else 0
+    out = np.empty(raw.count(b",") // 2 * 3)
     n = 0
-    for s in range(start, len(lines), _CSV_BATCH):
-        batch = list(filter(None, map(str.strip, lines[s:s + _CSV_BATCH])))
-        if any(t.count(",") != 2 for t in batch):
-            raise _bad_line_error(raw, path)
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + _CSV_BLOCK) + 1 or len(raw)
+        block = raw[lo:hi]
+        end = b"" if block.endswith(b"\n") else b"\n"  # a line end after the last line changes no line
+        parsed = _fast_fields(b"0" * _PAD + block + end)
+        if parsed is None:
+            texts = []
+            for _, line in _data_lines(block, header=lo == 0):
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise _bad_line_error(raw, path)
+                texts += parts
+            parsed = np.empty(len(texts)), enumerate(texts)
+        vals, rest = parsed
         try:
-            rows = np.fromiter(map(float, ",".join(batch).split(",")), np.float64, 3 * len(batch))
+            for i, text in rest:
+                vals[i] = float(text)
         except ValueError:
             raise _bad_line_error(raw, path) from None
-        if not np.isfinite(rows).all():
+        if not np.isfinite(vals).all():
             raise _bad_line_error(raw, path)
-        out[n:n + len(batch)] = rows.reshape(-1, 3)
-        n += len(batch)
-    return out[:n]
+        out[n:n + vals.size] = vals
+        n += vals.size
+        lo = hi
+    return out[:n].reshape(-1, 3)
 
 
 def write_selection_csv(selection, path):

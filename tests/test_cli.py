@@ -299,8 +299,10 @@ def test_fit_non_finite_csv_field_is_format_error(tmp_path, capsys, field):
     assert "(byte offset 18)" in capsys.readouterr().err
 
 
-FIT_NUMBERS = ["0", "-0", "1", "-0.5", "2e3", "1e-320", "5e-324", "1e308", "-1e308"]
-FIT_TOKENS = FIT_NUMBERS + ["nan", "inf", "-inf", "one", "", "1e", "0x1"]
+# float() reads every number here, loadtxt not all of them (1_0, fullwidth 1); 20 digits take float()
+FIT_NUMBERS = ["0", "-0", "1", "-0.5", "2e3", "1e-320", "5e-324", "1e308", "-1e308", "1_0", "\uff11", "+1", ".5",
+               "1.", "12345678901234567890"]
+FIT_TOKENS = FIT_NUMBERS + ["nan", "inf", "-inf", "one", "", "1e", "0x1", "0x1p3", "1e400", "infinity"]
 # (fields, times the row repeats); half the files hold only 3-number rows
 FIT_ROWS = st.one_of(
     st.lists(st.tuples(st.lists(st.sampled_from(FIT_NUMBERS), min_size=3, max_size=3), st.integers(1, 3)),
@@ -322,7 +324,7 @@ def test_fit_fuzz_exits_documented_codes(tmp_path, capsys, rows, header, newline
     # traceback or a warning
     lines = ["x,y,z"] * header + [",".join(fields) for fields, repeat in rows for _ in range(repeat)]
     csv, out = tmp_path / "fuzz.csv", tmp_path / "fit.json"
-    csv.write_text("".join(line + newline for line in lines))
+    csv.write_text("".join(line + newline for line in lines), encoding="utf-8")
     out.unlink(missing_ok=True)
     capsys.readouterr()
     with warnings.catch_warnings():

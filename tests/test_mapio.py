@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from angmf import (
 )
 from angmf.errors import DomainError, FormatError, ShapeError
 from angmf.mapio import (
+    _CSV_BLOCK,
     load_weights,
     read_vectors_csv,
     save_weights,
@@ -478,6 +480,8 @@ _GOOD = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in np.random.default_rng(7).s
         "x,y,z\n1,nan,3\n" + _GOOD + "1,2,3,4\n",  # non-finite first, malformed later
         "x,y,z\n" + _GOOD + "1,inf,3\n" + _GOOD + "-Infinity,1,3\n",
         "x,y,z\n1,2,3\n\xe9,1,2\n",
+        "x,y,z\n1,2\n3,4,5,6\n",  # rows of 2 and 4 fields: as many commas and line ends as 2 good rows
+        "x,y,z\n1,2\r,3\n",  # a lone carriage return ends a line; float() would strip it
         # tokens float() and np.loadtxt read differently: the first four are accepted, the last four refused
         "x,y,z\n1_0,2,3\n",
         "x,y,z\n\uff11,2,3\n",  # fullwidth 1
@@ -492,14 +496,112 @@ _GOOD = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in np.random.default_rng(7).s
 def test_vectors_csv_reader_matches_line_by_line(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
+    assert_reads_like_reference(path)
+
+
+def assert_reads_like_reference(path):
+    """read_vectors_csv gives reference_read's bits, or its error message and offset."""
     want = reference_read(path)
     if isinstance(want, np.ndarray):
         got = read_vectors_csv(path)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     else:
         with pytest.raises(FormatError) as ei:
             read_vectors_csv(path)
         assert (str(ei.value), ei.value.offset) == (f"{want[0]} (byte offset {want[1]})", want[1])
+
+
+# fields the vectorised reader parses itself
+FAST_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: b"%.17g" % x),
+    st.sampled_from([b"0.0", b"-0.0", b"1.", b".5", b"-.5", b"-0", b"007.50", b"0.000000000000000000123",
+                     b"1234567890123456789", b"12345678901234567890", b"-9.999999999999999999"]))
+# fields it hands on to float(), and bytes that send their block to the line walk
+OTHER_FIELDS = [
+    b"1_0", "\uff11".encode(), "\u0663".encode(), b"+1", b"1e400", b"5e-324", b"infinity", b"nan", b"0x1p3", b"1e5",
+    b" 1", b"2 ", b"\t3", b"4\x1f", b"\x0b", b"9\x0b", b"\x0c1", b"\x1c", b"5\r6", b"7\r", b"\r", "2\u2028".encode(),
+    "\x85".encode(), b"", b"\xef\xbb\xbf7", b"8\xff", b"-", b".", b"-0.0000000000000000000000123"]
+# a good row, a row with one other field, or 0 to 4 fields of any kind (0 is a blank line)
+CSV_ROW = st.one_of(
+    st.lists(FAST_FIELDS, min_size=3, max_size=3),
+    st.tuples(st.lists(FAST_FIELDS, min_size=2, max_size=2), st.sampled_from(OTHER_FIELDS), st.integers(0, 2)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    st.lists(FAST_FIELDS | st.sampled_from(OTHER_FIELDS), max_size=4))
+# plain rows to put the drawn ones on either side of a block boundary
+PLAIN_ROWS = "".join(f"{x!r},{y:.17g},{z!r}\n" for x, y, z in
+                     np.random.default_rng(8).standard_normal((12000, 3)).tolist()).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=st.sampled_from([b"", b"x,y,z\n", b" X, Y , Z\r\n", b"\xef\xbb\xbfx,y,z\n", b"x,y,z\r"]),
+       before=st.one_of(st.just(0), st.integers(_CSV_BLOCK - 400, _CSV_BLOCK + 100)),
+       rows=st.lists(CSV_ROW, max_size=8), newline=st.sampled_from([b"\n", b"\r\n"]),
+       after=st.sampled_from([0, 200]), last_line_end=st.booleans())
+def test_vectors_csv_reader_matches_reference_property(tmp_path_factory, header, before, rows, newline, after,
+                                                        last_line_end):
+    plain = PLAIN_ROWS[:PLAIN_ROWS.rfind(b"\n", 0, before) + 1]
+    text = header + plain + b"".join(b",".join(fields) + newline for fields in rows) + PLAIN_ROWS[:after]
+    if not last_line_end:
+        text = text.rstrip(b"\r\n")
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text)
+    assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize("field", OTHER_FIELDS)
+def test_vectors_csv_reader_other_fields(tmp_path, field):
+    # each field inside an otherwise good row, in a small file and in the row that ends a block
+    for plain in (b"", PLAIN_ROWS[:PLAIN_ROWS.rfind(b"\n", 0, _CSV_BLOCK) + 1]):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"x,y,z\n" + plain + b"1.5," + field + b",-2\n0.25,3.,4\n")
+        assert_reads_like_reference(path)
+
+
+def test_vectors_csv_reader_header_only_on_the_first_line(tmp_path):
+    # an x,y,z line that starts the second block, which takes the fast path or (with a blank line) the line walk
+    plain = PLAIN_ROWS[:PLAIN_ROWS.find(b"\n", _CSV_BLOCK) + 1]
+    for rest in (b"x,y,z\n1,2,3\n", b"x,y,z\n\n1,2,3\n"):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"x,y,z\n" + plain + rest)
+        assert_reads_like_reference(path)
+
+
+def test_vectors_csv_reader_exact_near_halfway(tmp_path):
+    # float()'s bits on decimals exactly halfway between two doubles of [2**45, 2**64) and one
+    # last-digit unit either side (a tie of 19 digits or fewer has at most 4 after the dot), on
+    # neighbours of powers of two and on 19- and 20-digit mantissas with the dot at every third place
+    gen = np.random.default_rng(29)
+    texts = []
+    for e in range(45, 64):
+        for m in gen.integers(2**52, 2**53, 60).tolist():
+            x = m * 2.0 ** (e - 52)
+            half = Decimal(x) + (Decimal(np.nextafter(x, np.inf)) - Decimal(x)) / 2
+            unit = Decimal(1).scaleb(half.as_tuple().exponent)
+            texts += [f"{sign}{v:f}" for v in (half, half - unit, half + unit) for sign in ("", "-")]
+    for p in range(-70, 64):
+        for x in (2.0**p, np.nextafter(2.0**p, 0), np.nextafter(2.0**p, np.inf)):
+            texts += [repr(float(x)), f"{x:.17g}", f"{x:.19g}", f"{x:.20f}"]
+    for s in map(str, gen.integers(10**18, 10**19, 300, dtype=np.uint64).tolist() + [10**19 - 1, 10**18]):
+        texts += [s[:cut] + "." + s[cut:] for cut in range(0, 20, 3)] + ["0.000" + s, "0.0000" + s, s + "0"]
+    texts += ["0"] * (-len(texts) % 3)
+    path = tmp_path / "v.csv"
+    path.write_text("".join(",".join(texts[i:i + 3]) + "\n" for i in range(0, len(texts), 3)))
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(read_vectors_csv(path).ravel().view(np.uint64), want.view(np.uint64))
+
+
+def test_vectors_csv_reader_sweep_matches_float(tmp_path):
+    # 1e6 random fields at unit scale and from 1e-12 to 1e8, through repr, %.17g and %.15g, crossing blocks
+    gen = np.random.default_rng(31)
+    n = 1_000_002
+    x = gen.uniform(-1.0, 1.0, n) * np.where(gen.random(n) < 0.5, 1.0, 10.0 ** gen.integers(-12, 9, n))
+    texts = [repr(v) for v in x[0::3].tolist()] + [f"{v:.17g}" for v in x[1::3].tolist()]
+    texts += [f"{v:.15g}" for v in x[2::3].tolist()]
+    path = tmp_path / "v.csv"
+    path.write_text("x,y,z\r\n" + "".join(f"{a},{b},{c}\r\n" for a, b, c in zip(*[iter(texts)] * 3)))
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(read_vectors_csv(path).ravel().view(np.uint64), want.view(np.uint64))
 
 
 def test_metrics_json_layout(tmp_path):
