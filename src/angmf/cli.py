@@ -32,6 +32,9 @@ from .sphere import angle_between, normalize
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+# Sample rows per simulate-boundary block (at least one trial each): bounds
+# memory for any --trials, and blocks this size stay in cache
+BOUNDARY_BLOCK_ROWS = 2**15
 
 
 def _parse_direction(text):
@@ -202,25 +205,20 @@ def _cmd_simulate_boundary(args):
         contamination=args.contamination,
         jitter_kappa=args.jitter_kappa,
     )
-    median_wins = mean_wins = ties = 0
+    per_block = max(1, BOUNDARY_BLOCK_ROWS // args.samples)
     err_mean, err_median = [], []
-    for _ in range(args.trials):
-        samples = synth.sample_boundary_pixels(scene, rng, args.samples)
-        e_mean = float(np.degrees(angle_between(mean_direction(samples), normal_a)))
-        e_med = float(np.degrees(angle_between(spherical_median(samples), normal_a)))
-        err_mean.append(e_mean)
-        err_median.append(e_med)
-        if e_med < e_mean:
-            median_wins += 1
-        elif e_mean < e_med:
-            mean_wins += 1
-        else:
-            ties += 1
+    for start in range(0, args.trials, per_block):
+        samples = synth.sample_boundary_pixels(scene, rng, args.samples, min(per_block, args.trials - start))
+        err_mean.append(np.degrees(angle_between(mean_direction(samples), normal_a)))
+        err_median.append(np.degrees(angle_between(spherical_median(samples), normal_a)))
+    err_mean, err_median = np.concatenate(err_mean), np.concatenate(err_median)
+    median_wins = int(np.count_nonzero(err_median < err_mean))
+    mean_wins = int(np.count_nonzero(err_mean < err_median))
     payload = {
         "trials": args.trials,
         "median_wins": median_wins,
         "mean_wins": mean_wins,
-        "ties": ties,
+        "ties": args.trials - median_wins - mean_wins,
         "mean_error_deg_avg": float(np.mean(err_mean)),
         "median_error_deg_avg": float(np.mean(err_median)),
     }

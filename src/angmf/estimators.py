@@ -1,12 +1,20 @@
-"""Direction estimators: extrinsic mean, geodesic median, AngMF maximum likelihood."""
+"""Direction estimators: extrinsic mean, geodesic median, AngMF maximum likelihood.
+
+``mean_direction`` and ``spherical_median`` take one sample set of shape
+(N, 3) or a stack of T sets of shape (T, N, 3).  A stack gives one result
+per set, each with the bits it gets alone: sums run along the sample axis
+only, and every branch of the median is a per-set mask.  For one set the
+median report holds Python scalars; for a stack its fields are arrays of
+length T ((T, 3) for ``direction``).
+"""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .distributions import AngMFParams, angmf_nll_at, expected_angular_error
-from .errors import DegenerateResultant, EmptyBatch, ShapeError
+from .errors import DegenerateResultant, DomainError, EmptyBatch, ShapeError
 from .sphere import dot3, log_map, normalize, tangent_basis
 
 __all__ = [
@@ -23,23 +31,34 @@ KAPPA_CEILING = 1e6  # kappa above this is treated as divergence (all samples co
 
 def _as_samples(samples):
     s = np.asarray(samples, dtype=np.float64)
-    if s.ndim != 2 or s.shape[1] != 3:
-        raise ShapeError(f"expected samples of shape (N, 3), got {s.shape}")
-    if s.shape[0] == 0:
+    if s.ndim not in (2, 3) or s.shape[-1] != 3:
+        raise ShapeError(f"expected samples of shape (N, 3) or (T, N, 3), got {s.shape}")
+    if s.size == 0:
         raise EmptyBatch("no samples")
+    if not np.isfinite(s).all():
+        i = int(np.argmin(np.isfinite(s).ravel())) // 3  # the first bad row, counted over the whole stack
+        where = f"{i}" if s.ndim == 2 else f"{i % s.shape[1]} of set {i // s.shape[1]}"
+        raise DomainError(f"sample {where} is not finite", index=i)
     return s
 
 
-def mean_direction(samples):
-    """Normalized resultant of the samples.
+def _resultant(s):
+    """Sums of the sample sets and the mask of those whose samples cancel out."""
+    r = s.sum(axis=-2)
+    return r, np.sqrt(dot3(r, r)) < 1e-12
 
-    Raises DegenerateResultant when the resultant norm falls below 1e-12
+
+def mean_direction(samples):
+    """Normalized resultant of the samples: (3,) for one set, (T, 3) for a stack.
+
+    Raises DegenerateResultant when a resultant norm falls below 1e-12
     (e.g. an antipodal pair), in which case no direction is meaningful.
     """
     s = _as_samples(samples)
-    r = s.sum(axis=0)
-    if math.sqrt(dot3(r, r)) < 1e-12:
-        raise DegenerateResultant("sample directions cancel out")
+    r, cancel = _resultant(s)
+    if np.any(cancel):
+        where = "" if s.ndim == 2 else f" in set {int(np.argmax(cancel))}"
+        raise DegenerateResultant(f"sample directions cancel out{where}")
     return normalize(r)
 
 
@@ -54,32 +73,36 @@ class SphericalMedianReport:
 
 
 def _tangent_newton_step(mu, u, cot, pull):
-    """Newton step H^-1 * pull in the tangent plane at mu.
+    """Newton steps H^-1 * pull in the tangent planes at the (k, 3) rows of mu.
 
     The tangent Hessian of a single geodesic distance alpha_j is
     cot(alpha_j) * (I - u_j u_j^T): zero curvature along the geodesic,
     cot(alpha) across it.  ``pull`` is the descent direction (negative
-    gradient) of some cot-weighted sum of those distances.  Returns None
-    unless the assembled 2x2 system is safely positive definite and the
-    step small enough to trust.
+    gradient) of some cot-weighted sum of those distances; ``u`` and
+    ``cot`` hold one (N, 3) and (N,) set per row.  Returns (step, ok): a
+    step is usable only where the assembled 2x2 system is safely positive
+    definite and the step small enough to trust.
     """
     e1, e2 = tangent_basis(mu)
-    w1 = dot3(u, e1)
-    w2 = dot3(u, e2)
-    h11 = float(np.sum(cot * w2 * w2))
-    h22 = float(np.sum(cot * w1 * w1))
-    h12 = float(-np.sum(cot * w1 * w2))
+    w1 = dot3(u, e1[:, None])
+    w2 = dot3(u, e2[:, None])
+    h11 = np.sum(cot * w2 * w2, axis=1)
+    h22 = np.sum(cot * w1 * w1, axis=1)
+    h12 = -np.sum(cot * w1 * w2, axis=1)
     det = h11 * h22 - h12 * h12
-    if h11 <= 0.0 or det <= 0.0:
-        return None
-    g1 = float(dot3(pull, e1))
-    g2 = float(dot3(pull, e2))
-    r1 = (h22 * g1 - h12 * g2) / det
-    r2 = (h11 * g2 - h12 * g1) / det
-    step = r1 * e1 + r2 * e2
-    if math.sqrt(dot3(step, step)) > 0.5:
-        return None
-    return step
+    ok = (h11 > 0.0) & (det > 0.0)
+    g1 = dot3(pull, e1)
+    g2 = dot3(pull, e2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without a safe system are not ok
+        r1 = (h22 * g1 - h12 * g2) / det
+        r2 = (h11 * g2 - h12 * g1) / det
+        step = r1[:, None] * e1 + r2[:, None] * e2
+        return step, ok & ~(np.sqrt(dot3(step, step)) > 0.5)
+
+
+def _rows(a, i):
+    """``a[i]`` for sorted distinct indices ``i``, without a copy when they are all of ``a``'s rows."""
+    return a if i.size == len(a) else a[i]
 
 
 def spherical_median(samples, tol=1e-8, full_output=False):
@@ -110,78 +133,97 @@ def spherical_median(samples, tol=1e-8, full_output=False):
     The start is the mean direction, or the first sample where the
     samples cancel out.  Convergence means the summed tangent gradient has
     norm below ``tol`` (or meets the subgradient bound at a sample point).
-    With ``full_output`` returns (direction, SphericalMedianReport).
+    The sets of a (T, N, 3) stack iterate in lockstep, one array row each;
+    a set leaves the working arrays when it stops, and only then are they
+    compacted.  One (N, 3) set runs as a stack of one.  With
+    ``full_output`` returns (direction, SphericalMedianReport).
     """
     s = _as_samples(samples)
-    try:
-        mu = mean_direction(s)
-    except DegenerateResultant:
-        mu = s[0].copy()
+    rep = _median_stack(s if s.ndim == 3 else s[None], tol)
+    if s.ndim == 2:
+        rep = SphericalMedianReport(rep.direction[0], *(getattr(rep, f.name)[0].item() for f in fields(rep)[1:]))
+    return (rep.direction, rep) if full_output else rep.direction
 
-    n = s.shape[0]
-    iterations = 0
-    converged = False
-    grad_norm = math.inf
-    alpha, u = log_map(mu, s)
-    f_mu = f_start = float(np.sum(alpha))
-    stalled = False
-    for iterations in range(1, MAX_ITER + 1):
+
+def _median_stack(s, tol):
+    """The loop of :func:`spherical_median` over a validated (T, N, 3) stack; returns an array report."""
+    n_sets, n = s.shape[:2]
+    r, cancel = _resultant(s)
+    mu = s[:, 0].copy()
+    mu[~cancel] = normalize(r[~cancel])
+    alpha, u = log_map(mu[:, None], s)
+    f_mu = np.sum(alpha, axis=1)
+    f_start = f_mu / n
+    direction, grad_out, mean_angle = np.empty((n_sets, 3)), np.empty(n_sets), np.empty(n_sets)
+    iterations, converged = np.empty(n_sets, dtype=np.int64), np.zeros(n_sets, dtype=bool)
+    live = np.arange(n_sets)  # the set of each working row
+    stalled = np.zeros(n_sets, dtype=bool)
+    for it in range(1, MAX_ITER + 1):
         # samples (anti)coincident with the iterate have no usable tangent;
-        # dropping them picks a valid subgradient
+        # dropping them picks a valid subgradient (-0.0 adds nothing, not even a sign)
         far = (alpha > 1e-9) & (alpha < math.pi - 1e-9)
-        g = u[far].sum(axis=0)
-        g = g - dot3(g, mu) * mu
-        grad_norm = math.sqrt(dot3(g, g))
+        n_near = n - np.count_nonzero(far, axis=1)
+        near = n_near > 0
+        any_near = near.any()
+        g = (np.where(far[..., None], u, -0.0) if any_near else u).sum(axis=1)
+        g = g - dot3(g, mu)[:, None] * mu
+        grad_norm = np.sqrt(dot3(g, g))
+        n_co = np.count_nonzero(alpha <= 1e-9, axis=1) if any_near else 0
+        # at a sample point: subgradient optimality, coincident minus antipodal count
+        conv = np.where(near, grad_norm <= n_co - (n_near - n_co) + tol, grad_norm < tol)
+        stop = conv | stalled  # a stalled iterate is pinned at float resolution; its gradient was rechecked
 
-        n_near = n - int(np.count_nonzero(far))
-        if n_near:
-            n_co = int(np.count_nonzero(alpha <= 1e-9))
-            n_anti = n_near - n_co
-            if grad_norm <= n_co - n_anti + tol:
-                converged = True  # subgradient optimality at a sample point
+        step = g / n
+        i = np.flatnonzero(~near & ~stop)
+        if i.size:
+            step[i] = g[i] / np.sum(1.0 / _rows(alpha, i), axis=1)[:, None]  # Weiszfeld step
+            j = i[grad_norm[i] < 1e-3 * n]
+            if j.size:
+                a = _rows(alpha, j)
+                newton, ok = _tangent_newton_step(mu[j], _rows(u, j), np.cos(a) / np.sin(a), g[j])
+                step[j[ok]] = newton[ok]
+
+        noise = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(f_mu))
+        lam = np.ones(len(live))
+        moved = np.zeros(len(live))
+        accepted = np.zeros(len(live), dtype=bool)
+        pending = ~stop
+        while True:
+            pending &= lam > 1e-14
+            i = np.flatnonzero(pending)
+            v = lam[i, None] * step[i]
+            vn = np.sqrt(dot3(v, v))
+            moving = vn != 0.0
+            pending[i[~moving]] = False
+            i, v, vn = i[moving], v[moving], vn[moving]
+            if not i.size:
                 break
-        elif grad_norm < tol:
-            converged = True
-            break
-        if stalled:
-            break  # iterate pinned at float resolution; gradient rechecked above
-
-        if n_near:
-            step = g / n
-        else:
-            step = g / np.sum(1.0 / alpha)  # Weiszfeld step
-            if grad_norm < 1e-3 * n:
-                newton = _tangent_newton_step(mu, u, np.cos(alpha) / np.sin(alpha), g)
-                if newton is not None:
-                    step = newton
-
-        noise = 32.0 * np.finfo(float).eps * max(1.0, abs(f_mu))
-        lam = 1.0
-        moved = 0.0
-        accepted = False
-        while lam > 1e-14:
-            v = lam * step
-            vn = math.sqrt(dot3(v, v))
-            if vn == 0.0:
-                break
-            cand = math.cos(vn) * mu + math.sin(vn) * (v / vn)
-            cand = normalize(cand)
-            alpha_c, u_c = log_map(cand, s)
-            f_cand = float(np.sum(alpha_c))
-            if f_cand <= f_mu + noise:
-                moved = math.sqrt(dot3(cand - mu, cand - mu))
+            cand = normalize(np.cos(vn)[:, None] * mu[i] + np.sin(vn)[:, None] * (v / vn[:, None]))
+            alpha_c, u_c = log_map(cand[:, None], _rows(s, i))
+            f_cand = np.sum(alpha_c, axis=1)
+            ok = f_cand <= f_mu[i] + noise[i]
+            k = i[ok]
+            moved[k] = np.sqrt(dot3(cand[ok] - mu[k], cand[ok] - mu[k]))
+            if k.size == len(live):
                 mu, f_mu, alpha, u = cand, f_cand, alpha_c, u_c
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break  # cannot move anywhere acceptable; report honestly
-        if moved < 1e-15:
-            stalled = True
+            else:
+                mu[k], f_mu[k], alpha[k], u[k] = cand[ok], f_cand[ok], alpha_c[ok], u_c[ok]
+            accepted[k] = True
+            pending[k] = False
+            lam[i[~ok]] *= 0.5
+        stalled = moved < 1e-15
 
-    if full_output:
-        return mu, SphericalMedianReport(mu, iterations, converged, grad_norm, f_start / n, f_mu / n)
-    return mu
+        # a set that cannot move anywhere acceptable stops and reports honestly
+        leave = ~accepted if it < MAX_ITER else np.ones_like(accepted)
+        if leave.any():
+            k = live[leave]
+            direction[k], iterations[k], converged[k] = mu[leave], it, conv[leave]
+            grad_out[k], mean_angle[k] = grad_norm[leave], f_mu[leave] / n
+            keep = ~leave
+            live, s, mu, alpha, u, f_mu, stalled = (a[keep] for a in (live, s, mu, alpha, u, f_mu, stalled))
+            if not live.size:
+                break
+    return SphericalMedianReport(direction, iterations, converged, grad_out, f_start, mean_angle)
 
 
 @dataclass(frozen=True)
@@ -239,7 +281,10 @@ def fit_angmf_mle(samples, tol=1e-8):
     the nll at (mean direction, kappa = 1), at (median, kappa = 1) and at
     the fit.
     """
-    mu, med = spherical_median(samples, tol=tol, full_output=True)
+    s = _as_samples(samples)
+    if s.ndim != 2:
+        raise ShapeError(f"expected samples of shape (N, 3), got {s.shape}")
+    mu, med = spherical_median(s, tol=tol, full_output=True)
     kappa, steps, residual = _kappa_root(med.mean_angle)
     converged = med.converged and (kappa == 0.0 or (kappa < KAPPA_CEILING and abs(residual) < tol))
     f = float(angmf_nll_at(kappa, med.mean_angle))

@@ -97,18 +97,21 @@ def _frame(mu, alpha, phi):
     e1, e2 = tangent_basis(mu)
     sin_a = np.sin(alpha)
     return (
-        np.cos(alpha)[:, None] * mu
-        + (sin_a * np.cos(phi))[:, None] * e1
-        + (sin_a * np.sin(phi))[:, None] * e2
+        np.cos(alpha)[..., None] * mu
+        + (sin_a * np.cos(phi))[..., None] * e1
+        + (sin_a * np.sin(phi))[..., None] * e2
     )
+
+
+def _angmf_from_uniforms(mu, kappa, u, v):
+    """AngMF draws from radial uniforms ``u`` and azimuth uniforms ``v``, around ``mu`` (3,) or per draw."""
+    return _frame(mu, invert_error_cdf(kappa, u), 2.0 * math.pi * v)
 
 
 def draw_angmf(mu, kappa, count, rng):
     """``count`` AngMF draws around one (3,) ``mu`` or around (count, 3) per-row means."""
     u = rng.uniform(count)
-    phi = 2.0 * math.pi * rng.uniform(count)
-    alpha = invert_error_cdf(kappa, u)
-    return _frame(mu, alpha, phi)
+    return _angmf_from_uniforms(mu, kappa, u, rng.uniform(count))
 
 
 def sample_angmf(params, count, rng):

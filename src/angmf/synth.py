@@ -19,7 +19,14 @@ The contamination flip is *not* observable in the features; only its
 statistics are (via the distance channel), so a trainer must model it as
 per-pixel uncertainty rather than regress it away.
 
-Draw order from the RngState (the determinism contract):
+Boundary-pixel draws (``sample_boundary_pixels``) take, per set of N
+samples, N choice uniforms, then N radial and N azimuth uniforms for the
+jitter.  T sets come from one block of 3 * T * N uniforms in that order,
+so drawing them together or one set at a time gives the same bits;
+``simulate-boundary`` draws its trials in blocks and takes the mean and
+geodesic median of each block's (T, N, 3) stack in one solve.
+
+Frame draw order from the RngState (the determinism contract):
   1. one uniform per boundary pixel, row-major, for the mixture choice;
   2. if jitter is enabled, one radial block then one azimuth block of
      H * W uniforms each, matching the sampler convention;
@@ -35,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
-from .sampling import _check_count, draw_angmf
+from .sampling import _angmf_from_uniforms, _check_count, draw_angmf
 from .sphere import as_unit
 
 __all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
@@ -80,16 +87,19 @@ class SyntheticFrame:
         return self.gt.width
 
 
-def sample_boundary_pixels(scene, rng, count):
-    """Draw ``count`` boundary-pixel ground truths from the mixture model.
+def sample_boundary_pixels(scene, rng, count, trials=None):
+    """Draw ``count`` boundary-pixel ground truths from the mixture model, or ``trials`` sets of them.
 
-    Choice uniforms come first (one per sample), then one jitter pass over
-    all samples around their chosen base normals.
+    Returns (count, 3), or (trials, count, 3) when ``trials`` is given.
+    Each set takes its choice, radial and azimuth blocks in turn from one
+    draw of ``3 * trials * count`` uniforms (see the module docstring).
     """
     count = _check_count(count)
-    pick_b = rng.uniform(count) < scene.contamination
-    bases = np.where(pick_b[:, None], scene.normal_b, scene.normal_a)
-    return draw_angmf(bases, scene.jitter_kappa, count, rng)
+    sets = 1 if trials is None else _check_count(trials)
+    u = rng.uniform(3 * sets * count).reshape(sets, 3, count)
+    bases = np.where((u[:, 0] < scene.contamination)[..., None], scene.normal_b, scene.normal_a)
+    out = _angmf_from_uniforms(bases, scene.jitter_kappa, u[:, 1], u[:, 2])
+    return out[0] if trials is None else out
 
 
 def make_frame(width, height, plane_normals, rng, jitter_kappa=None,

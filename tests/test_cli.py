@@ -7,10 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from angmf import mapio, metrics
+from angmf import cli, mapio, metrics
 from angmf.cli import main
 from angmf.distributions import expected_angular_error
+from angmf.estimators import mean_direction
 from angmf.mapio import KappaMap, NormalMap, load_weights
+from angmf.rng import RngState
+from angmf.sphere import angle_between
+from angmf.synth import TwoPlaneScene, sample_boundary_pixels
+
+from conftest import reference_median
 
 E_ALPHA_K1 = 1.1301368068173820266
 
@@ -446,6 +452,83 @@ def test_simulate_boundary_rejects_non_positive_counts(argv, capsys):
         main(["simulate-boundary", "--seed", "1"] + argv)
     assert ei.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def _simulate_one_trial_at_a_time(seed, trials, samples, path):
+    """simulate-boundary's JSON at its default scene, from the per-trial loop it ran before blocks."""
+    sep = math.radians(60.0)
+    normal_a = np.array([0.0, 0.0, 1.0])
+    scene = TwoPlaneScene(normal_a, np.array([math.sin(sep), 0.0, math.cos(sep)]), 0.2, 50.0)
+    rng = RngState(seed)
+    median_wins = mean_wins = ties = 0
+    err_mean, err_median = [], []
+    for _ in range(trials):
+        s = sample_boundary_pixels(scene, rng, samples)
+        e_mean = float(np.degrees(angle_between(mean_direction(s), normal_a)))
+        e_med = float(np.degrees(angle_between(reference_median(s), normal_a)))
+        err_mean.append(e_mean)
+        err_median.append(e_med)
+        median_wins += e_med < e_mean
+        mean_wins += e_mean < e_med
+        ties += e_med == e_mean
+    mapio.write_json({"trials": trials, "median_wins": median_wins, "mean_wins": mean_wins, "ties": ties,
+                      "mean_error_deg_avg": float(np.mean(err_mean)),
+                      "median_error_deg_avg": float(np.mean(err_median))}, path)
+
+
+@pytest.mark.parametrize("trials, samples, block_rows", [
+    (2, cli.BOUNDARY_BLOCK_ROWS + 1, cli.BOUNDARY_BLOCK_ROWS),  # above the cap: one trial per block
+    (33, 1000, cli.BOUNDARY_BLOCK_ROWS),  # blocks of 32 and 1 trials
+    (7, 100, 250),  # blocks of 2, 2, 2 and 1 trials
+    (5, 40, 40),  # one row cap's worth: one trial per block
+    (9, 30, 10**6),  # one block
+])
+def test_simulate_boundary_bytes_do_not_depend_on_blocks(tmp_path, monkeypatch, trials, samples, block_rows):
+    monkeypatch.setattr(cli, "BOUNDARY_BLOCK_ROWS", block_rows)
+    out, want = tmp_path / "sim.json", tmp_path / "want.json"
+    assert main(["simulate-boundary", "--seed", "12", "--trials", str(trials), "--samples", str(samples),
+                 "--out-json", str(out)]) == 0
+    _simulate_one_trial_at_a_time(12, trials, samples, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+# numeric flag values as given on the command line: in and out of range, special and malformed
+SIMULATE_FLAGS = {
+    "--trials": st.sampled_from(["1", "2", "3", "0", "-1", "+2", "1.5", "x"]),
+    "--samples": st.sampled_from(["1", "2", "3", "17", "0", "-2", "1e1", ""]),
+    "--separation-deg": st.one_of(st.sampled_from(["0", "60", "180", "-90", "1e308", "-1e308", "5e-324", "nan",
+                                                   "inf", "x"]), st.floats().map(repr)),
+    "--contamination": st.one_of(st.sampled_from(["0", "-0.0", "0.2", "0.4999999999", "0.5", "-0.1", "nan", "inf"]),
+                                 st.floats(-0.1, 0.6).map(repr)),
+    "--jitter-kappa": st.one_of(st.sampled_from(["0", "5e-324", "1e-300", "1", "50", "1e308", "-1", "nan", "inf"]),
+                                st.floats(0.0, 1e6).map(repr)),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.fixed_dictionaries({}, optional=SIMULATE_FLAGS), seed=st.integers(0, 2**64 - 1))
+def test_simulate_boundary_fuzz_exits_documented_codes(tmp_path, capsys, flags, seed):
+    # small runs at odd flag values: exit 0 with valid JSON and a silent
+    # stderr, or exit 2 or 4 with one error line; never a traceback or a warning
+    out = tmp_path / "sim.json"
+    out.unlink(missing_ok=True)
+    argv = ["simulate-boundary", "--seed", str(seed), "--out-json", str(out)]
+    argv += [f"{flag}={value}" for flag, value in ({"--trials": "3", "--samples": "20"} | flags).items()]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejections
+            code = e.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4)
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert payload["median_wins"] + payload["mean_wins"] + payload["ties"] == payload["trials"]
+    else:
+        assert err.count("\n") == 1 and "error: " in err and err.endswith("\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

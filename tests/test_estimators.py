@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from angmf import (
     AngMFParams,
@@ -13,10 +16,10 @@ from angmf import (
     spherical_median,
 )
 from angmf.distributions import expected_angular_error
-from angmf.errors import DegenerateResultant, EmptyBatch, ShapeError
+from angmf.errors import DegenerateResultant, DomainError, EmptyBatch, ShapeError
 from angmf.sphere import angle_between, log_map, normalize
 
-from conftest import random_rotation, random_unit
+from conftest import random_rotation, random_unit, reference_median
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -175,6 +178,116 @@ def test_median_validation():
         spherical_median(np.zeros((0, 3)))
     with pytest.raises(ShapeError):
         spherical_median(np.zeros((3, 4)))
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _report_bits(direction, rep):
+    return (_bits(direction), rep.iterations, rep.converged, _bits(rep.grad_norm),
+            _bits(rep.start_mean_angle), _bits(rep.mean_angle))
+
+
+def _cancelling_rows(gen, n):
+    """n >= 2 unit rows summing to ~0: 120-degree triples about random axes, then v, -v pairs."""
+    pairs = (0, 2, 1)[n % 3]
+    rows = []
+    for _ in range((n - 2 * pairs) // 3):
+        a = random_unit(gen)
+        b = normalize(np.cross(np.cross(a, random_unit(gen)), a))
+        rows += [a, -0.5 * a + math.sqrt(0.75) * b, -0.5 * a - math.sqrt(0.75) * b]
+    for _ in range(pairs):
+        v = random_unit(gen)
+        rows += [v, -v]
+    return np.array(rows)
+
+
+def _median_set(seed, n, kind):
+    """An AngMF cloud with kappa log-uniform in [0.5, 1e7], reshaped by ``kind``: a coincident
+    block, antipodal pairs, or (for n >= 2) rows that cancel out exactly."""
+    gen = np.random.default_rng(seed)
+    kappa = float(np.exp(gen.uniform(math.log(0.5), math.log(1e7))))
+    s = sample_angmf(AngMFParams(random_unit(gen), kappa), n, RngState(seed))
+    m = int(gen.integers(1, n + 1))
+    if kind == "coincident":
+        s[:m] = s[0]
+    elif kind == "antipodal":
+        s[1:m:2] = -s[0:m - 1:2]
+    elif kind == "cancel" and n > 1:
+        s = _cancelling_rows(gen, n)
+    return s
+
+
+@st.composite
+def median_stacks(draw):
+    """(T, N, 3) stacks whose sets take very different iteration counts and branches."""
+    n_sets, n = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    kinds = st.sampled_from(["cloud", "coincident", "antipodal", "cancel"])
+    return np.stack([_median_set(draw(st.integers(0, 2**32 - 1)), n, draw(kinds)) for _ in range(n_sets)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=median_stacks())
+@example(stack=np.tile(EZ, (1, 3, 1)))
+# line-search halvings, a stall, a coincident start and a 302-iteration run, in one stack
+@example(stack=np.stack([_median_set(1, 120, "cancel"), _median_set(4, 120, "cloud"),
+                         _median_set(0, 120, "coincident"), _median_set(46, 120, "cancel")]))
+@example(stack=np.stack([np.tile(EZ, (3, 1)), [EZ, -EZ, EX], [EX, -EX, EY], normalize([[1.0, 0, 1], [-1, 0, 1], EY])]))
+@example(stack=np.array([[EZ], [-EX]]))
+def test_median_stack_matches_the_per_set_loop(stack):
+    # every set of a stack gets the bits, iteration count and flags the
+    # per-set loop gives it, whatever the other sets do
+    direction, rep = spherical_median(stack, full_output=True)
+    assert direction.shape == (len(stack), 3)
+    for t, s in enumerate(stack):
+        want = _report_bits(*reference_median(s, full_output=True))
+        got = (_bits(direction[t]), rep.iterations[t], rep.converged[t], _bits(rep.grad_norm[t]),
+               _bits(rep.start_mean_angle[t]), _bits(rep.mean_angle[t]))
+        assert got == want
+        assert _report_bits(*spherical_median(s, full_output=True)) == want
+
+
+def test_median_stack_single_set_report_holds_python_scalars():
+    _, rep = spherical_median(contaminated_cloud(7, n=100), full_output=True)
+    assert type(rep.iterations) is int and type(rep.converged) is bool
+    assert all(type(x) is float for x in (rep.grad_norm, rep.start_mean_angle, rep.mean_angle))
+
+
+def test_mean_direction_stack_matches_each_set():
+    stack = np.stack([contaminated_cloud(seed, n=60) for seed in range(4)])
+    assert np.array_equal(mean_direction(stack), [mean_direction(s) for s in stack])
+    with pytest.raises(DegenerateResultant, match="in set 1$"):
+        mean_direction(np.array([[EZ, EX], [EZ, -EZ]]))
+
+
+def test_stack_validation():
+    with pytest.raises(EmptyBatch):
+        spherical_median(np.zeros((2, 0, 3)))
+    with pytest.raises(ShapeError):
+        mean_direction(np.zeros((2, 2, 2, 3)))
+    with pytest.raises(ShapeError):
+        fit_angmf_mle(np.tile(EZ, (2, 3, 1)))
+
+
+@pytest.mark.parametrize("estimator", [mean_direction, spherical_median, fit_angmf_mle])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape, message, index", [((5, 3), "sample 3 is not finite", 3),
+                                                   ((2, 5, 3), "sample 3 of set 1 is not finite", 8)])
+def test_non_finite_sample_is_a_domain_error(estimator, value, shape, message, index):
+    # these were "zero vector has no direction", or nan after a warning
+    s = np.tile(EZ, shape[:-1] + (1,))
+    rows = s.reshape(-1, 3)
+    rows[index, 1] = value
+    rows[index + 1, 0] = value  # a later bad row must not be the one named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{message}$") as ei:
+            estimator(s)
+    assert ei.value.index == index
 
 
 # ----------------------------------------------------------------- MLE fit

@@ -62,6 +62,17 @@ def test_boundary_pixels_unit_and_deterministic():
     assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("count, trials", [(50, 4), (1, 3), (0, 2), (7, 0)])
+def test_boundary_trials_draw_the_sets_one_at_a_time_would(count, trials):
+    scene = TwoPlaneScene(EZ, EX, 0.3, 40.0)
+    rng, ref_rng = RngState(8), RngState(8)
+    stack = sample_boundary_pixels(scene, rng, count, trials)
+    assert stack.shape == (trials, count, 3)
+    for s in stack:
+        assert sample_boundary_pixels(scene, ref_rng, count).tobytes() == s.tobytes()
+    assert rng.counter == ref_rng.counter
+
+
 def test_boundary_contamination_fraction():
     # at high kappa every sample sits near its base normal, so counting
     # B-side samples measures the mixture weight
