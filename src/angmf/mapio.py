@@ -97,16 +97,21 @@ class NormalMap(_Grid):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 3 or data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) array, got {data.shape}")
-        # a NaN pixel has a NaN norm, so it fails the unit test; only an all-NaN one
-        # is exempt.  Signalling NaN payloads are NaN pixels too: no warning.
-        with np.errstate(invalid="ignore"):
-            drift = np.sqrt(dot3(data, data))
-            drift -= 1.0
-            np.abs(drift, out=drift)
-            bad = ~(drift < UNIT_NORM_TOL)
-        bad &= ~(np.isnan(data[..., 0]) & np.isnan(data[..., 1]) & np.isnan(data[..., 2]))
-        i = _first(bad)
-        if i is not None:
+        # A float32 sum of squares is within 2e-7 (relative) of the exact one,
+        # so one in [1 - 1e-6, 1 + 1e-6] has a float64 norm within 1e-6 of 1.
+        # The other pixels take the float64 test, where a NaN pixel has a NaN
+        # norm and fails; only an all-NaN one is exempt.  Signalling NaN
+        # payloads and squares past float32's range raise no warning.
+        with np.errstate(invalid="ignore", over="ignore"):
+            sq = np.square(data)
+            s = sq[..., 0] + sq[..., 1]
+            s += sq[..., 2]
+            bad = np.flatnonzero(~((s >= np.float32(1 - UNIT_NORM_TOL)) & (s <= np.float32(1 + UNIT_NORM_TOL))))
+            if bad.size:
+                p = data.reshape(-1, 3)[bad]
+                bad = bad[~(np.abs(np.sqrt(dot3(p, p)) - 1.0) < UNIT_NORM_TOL) & ~np.isnan(p).all(axis=1)]
+        if bad.size:
+            i = int(bad[0])
             mixed = np.isnan(data.reshape(-1, 3)[i]).any()
             what = "mixes NaN and finite components" if mixed else "is not unit length"
             raise DomainError(f"pixel {i} {what}", index=i)
@@ -504,12 +509,26 @@ def read_vectors_csv(path):
     return out[:n].reshape(-1, 3)
 
 
+def _index_rows(idx, tail):
+    """The ``{index}{tail}`` lines of nonnegative integers as bytes, in 4-digit cells of _QUADS."""
+    idx = x = np.asarray(idx, dtype=np.int64)
+    quads = (len(str(int(x.max()))) + 3) // 4 if x.size else 1
+    tail = np.frombuffer(tail.ljust(-(-len(tail) // 4) * 4, b"\0"), dtype=np.uint32)
+    cells = np.empty((x.size, quads + tail.size), dtype=np.uint32)
+    cells[:, quads:] = tail
+    for c in range(quads - 1, -1, -1):
+        rest = x // 10000
+        cells[:, c] = np.take(_QUADS, x - rest * 10000 + (x < 10000) * 10000)
+        x = rest
+    cells[idx == 0, quads - 1] = ord("0")  # the leading form of 0 is all NULs
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_selection_csv(selection, path):
-    with open(path, "w", newline="") as f:
-        f.write("index,role\r\n")
-        for role, idx in (("importance", selection.importance), ("coverage", selection.coverage)):
-            for s in range(0, idx.size, _CSV_BATCH):
-                f.write("".join([f"{i},{role}\r\n" for i in idx[s:s + _CSV_BATCH].tolist()]))
+    with open(path, "wb") as f:
+        f.write(b"index,role\r\n")
+        f.write(_index_rows(selection.importance, b",importance\r\n"))
+        f.write(_index_rows(selection.coverage, b",coverage\r\n"))
 
 
 def write_epoch_csv(stats, path):

@@ -15,13 +15,13 @@ values and AUSE is the AUSC of (estimated - oracle).
 Each curve takes one sort (a median curve two) and matches np.median /
 np.mean on every prefix bit for bit, via order statistics and counts.
 Only the uncertainty ranking must break ties by index, as a stable sort
-would.  It takes numpy's default sort, which is several times faster but
-may leave tied values in any order, and then sorts the input indices
-ascending inside each run of equal uncertainties; runs are found with
-``==``, so -0.0 and +0.0 tie as they do in a stable sort.  The result is
-the stable order by construction, whatever order the default sort left
-the ties in.  Sorts of the errors themselves need no repair: tied errors
-are equal values, so their order cannot change a curve value.
+would.  Both sorts take one int64 key per value: its order-preserving bits
+(-0.0 read as +0.0, so signed zeros tie as they do under ``<``) cut short,
+with the value's index in the freed low bits.  Keys are distinct, so any
+sort kernel gives one order, the stable one; values whose kept bits tie but
+that differ are then re-sorted exactly.  Sorting the errors that way is more
+than they need: tied errors are equal values, so their order cannot change
+a curve value.
 
 A median curve over an unsorted prefix finds its middle order statistics
 in rank space: the prefix marks its members, per-block member counts say
@@ -129,7 +129,7 @@ def _prefix_medians(e, cuts, is_sorted):
     # mean sums from +0.0, so which of two tied signed zeros is taken never shows
     if is_sorted:
         return [np.mean(e[(k - 1) // 2:k // 2 + 1]) for k in cuts]
-    order = np.argsort(e)
+    order = _stable_ranking(e)
     rank = np.empty_like(order)
     rank[order] = np.arange(e.size)
     member = np.zeros(e.size, dtype=bool)  # the prefix, in rank space
@@ -175,24 +175,28 @@ def _prefix_curve(e, metric, is_sorted=False):
 
 
 def _stable_ranking(u):
-    """``np.argsort(u, kind="stable")`` from the default sort plus a repair of the ties.
+    """``np.argsort(u, kind="stable")`` of finite values, by one sort of distinct packed keys.
 
-    Tied uncertainties must keep index order, which decides the prefixes.
-    Inside each run of equal values the indices are sorted ascending: a
-    key of run number * N + index sorts within runs and keeps the runs in
-    place, since run numbers only grow along the ranking.
+    The key is the value's bits as an order-preserving int64 (negative
+    values have their magnitude bits flipped), less its low b bits, which
+    hold the index (n <= 2**b).  Runs of keys whose high bits tie are in
+    index order; if such a run mixes distinct values it is re-sorted by
+    (run, value), stably.
     """
-    order = np.argsort(u)
-    su = u[order]
-    eq = su[1:] == su[:-1]
-    if not eq.any():
-        return order
-    tied = np.zeros(u.size, dtype=bool)
-    tied[1:] = eq
-    tied[:-1] |= eq
-    run = np.cumsum(np.concatenate(([True], ~eq)))[tied]
-    key = run * u.size + order[tied]
-    order[tied] = np.sort(key) - run * u.size
+    b = max(u.size - 1, 0).bit_length()
+    key = np.add(u, 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+    np.bitwise_xor(key, np.int64(2**63 - 1), out=key, where=key < 0)
+    key &= -(1 << b)
+    key |= np.arange(u.size)
+    key.sort()
+    order = key & ((1 << b) - 1)
+    key >>= b
+    tie = np.flatnonzero(key[1:] == key[:-1])
+    if tie.size and (u[order[tie]] != u[order[tie + 1]]).any():
+        tied = np.zeros(u.size, dtype=bool)
+        tied[tie] = tied[tie + 1] = True
+        t = order[tied]
+        order[tied] = t[np.lexsort((u[t], key[tied]))]
     return order
 
 

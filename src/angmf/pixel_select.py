@@ -54,7 +54,8 @@ def select_pixels(uncertainty, valid, config, rng):
     v = np.asarray(valid, dtype=bool).ravel()
     if unc.shape != v.shape:
         raise ShapeError(f"uncertainty {np.shape(uncertainty)} vs valid {np.shape(valid)}")
-    if not np.all(np.isfinite(unc[v])):
+    vals = unc[v]
+    if not np.isfinite(vals).all():
         raise DomainError("uncertainty must be finite at valid pixels")
 
     candidates = np.flatnonzero(v)
@@ -63,18 +64,34 @@ def select_pixels(uncertainty, valid, config, rng):
     n_importance = int(np.floor(config.beta_ug * n_select))
 
     # the top n_importance values, ties at the threshold by ascending index
-    vals = unc[candidates]
     t = np.partition(vals, n_valid - n_importance)[n_valid - n_importance] if n_importance else np.inf
     take = vals > t
     take[np.flatnonzero(vals == t)[:n_importance - int(take.sum())]] = True
     importance = candidates[take]
     pool = candidates[~take]
 
-    # partial Fisher-Yates in place; one uniform block equals n_coverage scalar draws.
+    # partial Fisher-Yates; one uniform block equals n_coverage scalar draws.
     # uniform() <= 1 - 2**-53, so u * m rounds below m and j stays inside the pool
     n_coverage = n_select - n_importance
     i = np.arange(n_coverage)
     j = i + (rng.uniform(n_coverage) * (pool.size - i)).astype(np.intp)
-    for a, b in enumerate(j.tolist()):
-        pool[a], pool[b] = pool[b], pool[a]
-    return PixelSelection(importance=importance, coverage=np.sort(pool[:n_coverage]))
+    # Step a swaps slots a and j[a] >= a, and no later step moves slot a, so
+    # slot a keeps what slot j[a] held just before step a: pool[j[a]], unless
+    # an earlier step targeted j[a].  The latest one, b, put there what slot b
+    # held just before step b: pool[b], unless an earlier step targeted b, and
+    # so on down a chain of ever earlier steps, resolved by pointer jumping.
+    shift = n_coverage.bit_length()
+    key = np.sort(j << shift | i)  # the steps by (target, step)
+    tj, ti = key >> shift, key & ((1 << shift) - 1)
+    same = tj[1:] == tj[:-1]
+    prev = np.full(n_coverage, -1)  # the latest earlier step with the same target
+    prev[ti[1:][same]] = ti[:-1][same]
+    # the last key below (target b, step b) is the latest step before b that
+    # targets b, if its target is b.  With no key below, index -1 reads the
+    # largest key, whose target is b only if it is step b itself: a root too
+    before = np.searchsorted(key, i << shift | i) - 1
+    root = np.where(tj[before] == i, ti[before], i)
+    while (root != (step := root[root])).any():
+        root = step
+    coverage = pool[np.where(prev < 0, j, root[prev])]
+    return PixelSelection(importance=importance, coverage=np.sort(coverage))

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -422,6 +423,80 @@ def test_select_pixels_importance_is_top_uncertainty(tmp_path):
     got = sorted(int(ln.split(",")[0]) for ln in lines)
     # lowest kappa = highest expected error: flat indices 0..9
     assert got == list(range(10))
+
+
+# ------------------------------------------------- map inputs, fuzzed
+
+
+_NAN_BITS = np.array([0x7FC00000, 0x7FC00001, 0xFFC00000, 0x7FA00000], dtype=np.uint32).view(np.float32)
+# SNMP1 pixels: unit, at and past the unit tolerance, NaN triplets of every
+# payload, mixed NaN, huge (float32 squares overflow), subnormal, infinite
+FUZZ_PIXELS = [[0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [0.0, 1.0 + 5e-7, 0.0], [0.0, 0.0, 1.0 + 2e-6], [0.0, 0.0, 0.5],
+               list(_NAN_BITS[:3]), [_NAN_BITS[3]] * 3, [np.nan, 0.0, 1.0], [0.0, _NAN_BITS[3], 1.0],
+               [2.0**64, 0.0, 0.0], [1e-40, 0.0, 1.0], [1e-40, 1e-40, 1e-40], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]]
+# SKMP1 kappas: zero of both signs, subnormal, tiny to huge, NaN of every payload, negative, infinite
+FUZZ_KAPPAS = [0.0, -0.0, 1e-40, 1e-30, 3.5, 7e4, 3e38, *_NAN_BITS, -1.0, np.inf]
+FUZZ_SELECT_FLAGS = st.sampled_from(["0.4", "0.7", "1", "0", "1e-300", "1.5", "-0.1", "nan", "inf", "x", ""])
+
+
+def _write_fuzz_map(path, magic, width, height, payload, cut):
+    raw = magic + struct.pack("<II", width, height) + np.asarray(payload, dtype="<f4").tobytes()
+    path.write_bytes(raw[:len(raw) - cut])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["eval", "sparsify", "select-pixels"]),
+    width=st.sampled_from([3, 2, 1, 0]),
+    height=st.integers(1, 3),
+    pixels=st.dictionaries(st.integers(0, 17), st.sampled_from(range(len(FUZZ_PIXELS))), max_size=3),
+    kappas=st.dictionaries(st.integers(0, 8), st.sampled_from(FUZZ_KAPPAS), max_size=3),
+    kappa_file=st.sampled_from(["whole", "whole", "whole", "one column", "cut 1", "cut 4"]),
+    metric=st.sampled_from(metrics.METRIC_NAMES),
+    flags=st.fixed_dictionaries({}, optional={"--rs": FUZZ_SELECT_FLAGS, "--beta": FUZZ_SELECT_FLAGS}),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_map_commands_fuzz_exit_documented_codes(tmp_path, capsys, command, width, height, pixels, kappas,
+                                                 kappa_file, metric, flags, seed):
+    # tiny SNMP1/SKMP1 files with up to 3 special values each, some truncated
+    # or of another size, through eval, sparsify and select-pixels, at odd
+    # --rs/--beta: exit 0 with a silent stderr, or exit 2 or 3 with one error
+    # line; never a traceback or a warning
+    n = width * height
+    normals = [FUZZ_PIXELS[pixels.get(k, k % 2)] for k in range(18)]  # pred, then gt; unit but where fuzzed
+    kw, cut = (1 if kappa_file == "one column" else width), int(kappa_file[-1]) if "cut" in kappa_file else 0
+    pred, gt, kappa, out = (tmp_path / name for name in ("pred.snmp", "gt.snmp", "k.skmp", "out"))
+    _write_fuzz_map(pred, b"SNMP1", width, height, normals[:n], 0)
+    _write_fuzz_map(gt, b"SNMP1", width, height, normals[9:9 + n], 0)
+    _write_fuzz_map(kappa, b"SKMP1", kw, height, [kappas.get(k, 3.5 + k) for k in range(kw * height)], cut)
+    out.unlink(missing_ok=True)
+    if command == "eval":
+        argv = ["eval", "--pred", str(pred), "--gt", str(gt), "--out-json", str(out)]
+    elif command == "sparsify":
+        argv = ["sparsify", "--pred", str(pred), "--gt", str(gt), "--kappa", str(kappa), "--metric", metric,
+                "--out-json", str(out)]
+    else:
+        argv = ["select-pixels", "--kappa-map", str(kappa), "--seed", str(seed), "--out-csv", str(out)]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejections
+            code = e.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        assert err.count("\n") == 1 and "error: " in err and err.endswith("\n")
+        return
+    assert err == ""
+    if command == "select-pixels":
+        lines = out.read_text().splitlines()
+        assert lines[0] == "index,role" and all(0 <= int(line.split(",")[0]) < n for line in lines[1:])
+    else:
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
 
 
 # -------------------------------------------------------- simulate-boundary

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -36,6 +37,7 @@ from angmf.metrics import MetricsReport, angular_errors, oracle_curve, summarize
 from angmf.pixel_select import PixelSelection
 from angmf.refine import EpochStats, init_mlp
 from angmf.rng import RngState
+from angmf.sphere import dot3
 
 from conftest import random_unit
 
@@ -255,6 +257,90 @@ def test_map_validation_first_bad_pixel(tmp_path, pixels, first, what):
 def test_float32_edges_straddle_the_unit_tolerance():
     assert abs(IN_HI - 1.0) < 1e-6 <= abs(OUT_HI - 1.0)
     assert abs(IN_LO - 1.0) < 1e-6 <= abs(OUT_LO - 1.0)
+
+
+def _prefilter_edge(toward):
+    """The last float32 z from 1 toward ``toward`` whose float32 square is in [1 - 1e-6, 1 + 1e-6], and the next."""
+    lo, hi = np.float32(1 - 1e-6), np.float32(1 + 1e-6)
+    z = np.float32(1.0)
+    while lo <= np.square(np.nextafter(z, np.float32(toward))) <= hi:
+        z = np.nextafter(z, np.float32(toward))
+    return float(z), float(np.nextafter(z, np.float32(toward)))
+
+
+P_IN_HI, P_OUT_HI = _prefilter_edge(2.0)
+P_IN_LO, P_OUT_LO = _prefilter_edge(0.0)
+H = 0.70710677  # float32 sqrt(0.5)
+# pixels at both edges of both tests, huge (float32 squares overflow), subnormal,
+# infinite, and NaN of every payload
+PREFILTER_PIXELS = [
+    [0.0, 0.0, P_IN_HI], [0.0, P_OUT_HI, 0.0], [-P_IN_LO, 0.0, 0.0], [0.0, 0.0, -P_OUT_LO],
+    [0.0, 0.0, IN_HI], [OUT_HI, 0.0, 0.0], [0.0, -IN_LO, 0.0], [0.0, 0.0, OUT_LO],
+    [H, H, 0.0], [H * P_OUT_HI, -H * P_OUT_HI, 0.0], [0.0, H * OUT_HI, H * OUT_HI],
+    [2.0**64, 0.0, 0.0], [0.0, -2.0**64, 0.0], [2.0**70, 2.0**70, 2.0**70], [3e38, 3e38, 0.0], [2.0**64, np.nan, 0.0],
+    [1e-45, 0.0, 1.0], [1e-40, -1e-40, 1e-40], [0.0, 0.0, 0.0], [-0.0, -0.0, -1.0],
+    [np.inf, 0.0, 0.0], [-np.inf, np.inf, 0.0], [np.inf, np.nan, np.nan],
+    PAYLOAD_NANS, [SNAN, SNAN, SNAN], [np.nan, np.nan, np.nan], [SNAN, 0.0, 1.0], [np.nan, SNAN, 1e-40],
+]
+
+
+def _float64_rule(pixels):
+    """(index, message) of the first pixel the float64 test alone rejects, or None."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.abs(np.sqrt(dot3(pixels, pixels)) - 1.0)
+    bad = np.flatnonzero(~(drift < 1e-6) & ~np.isnan(pixels).all(axis=1))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, f"pixel {i} {MIXED if np.isnan(pixels[i]).any() else NOT_UNIT}"
+
+
+def test_prefilter_edges_straddle_the_float32_band():
+    lo, hi = np.float32(1 - 1e-6), np.float32(1 + 1e-6)
+    for inside, outside in ((P_IN_HI, P_OUT_HI), (P_IN_LO, P_OUT_LO)):
+        assert lo <= np.square(np.float32(inside)) <= hi
+        assert not lo <= np.square(np.float32(outside)) <= hi
+        assert abs(outside - 1.0) < 1e-6  # outside the band, yet unit under the float64 test
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.one_of(st.integers(0, len(PREFILTER_PIXELS) - 1), st.just(None)), min_size=1, max_size=12))
+def test_prefilter_matches_float64_rule(tmp_path_factory, rows):
+    # any mix of edge, huge, subnormal, infinite and NaN pixels among unit ones:
+    # the same first bad pixel and message as the float64 test alone, and no warning
+    unit = unit_grid(1, len(rows), seed=len(rows)).reshape(-1, 3).astype(np.float32)
+    pixels = np.array([unit[k] if r is None else np.float32(PREFILTER_PIXELS[r]) for k, r in enumerate(rows)])
+    data = pixels.reshape(1, -1, 3)
+    path = tmp_path_factory.mktemp("prefilter") / "m.snm"
+    path.write_bytes(b"SNMP1" + struct.pack("<II", len(rows), 1) + data.astype("<f4").tobytes())
+    want = _float64_rule(pixels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            assert NormalMap(data).data.tobytes() == data.tobytes()
+            assert read_normal_map(path).data.tobytes() == data.tobytes()
+            return
+        with pytest.raises(DomainError) as ei:
+            NormalMap(data)
+        assert (ei.value.index, str(ei.value)) == want
+        with pytest.raises(FormatError) as ei:
+            read_normal_map(path)
+    assert ei.value.offset == 13 + 12 * want[0]
+    assert str(ei.value).endswith(f"{path}: {want[1]} (byte offset {ei.value.offset})")
+
+
+@pytest.mark.parametrize("k", range(len(PREFILTER_PIXELS)))
+def test_prefilter_each_special_pixel_matches_float64_rule(k):
+    data = unit_grid(2, 3, seed=k).astype(np.float32)
+    data[1, 1] = PREFILTER_PIXELS[k]
+    want = _float64_rule(data.reshape(-1, 3))
+    if want is None:
+        assert NormalMap(data).data.tobytes() == data.tobytes()
+    else:
+        with pytest.raises(DomainError) as ei:
+            NormalMap(data)
+        assert (ei.value.index, str(ei.value)) == want
+        assert want[0] == 4
 
 
 @settings(max_examples=150, deadline=None)
@@ -661,6 +747,26 @@ def test_selection_csv_bytes_match_csv_writer(tmp_path, importance, coverage):
     w.writerows([int(i), "importance"] for i in sel.importance)
     w.writerows([int(i), "coverage"] for i in sel.coverage)
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+@pytest.mark.parametrize("indices", [
+    [0], [9], [10], [9999], [10000], [99999], [100000], [10**6],
+    [0, 9, 10, 9999, 10000, 99999, 100000, 10**6],
+    [0, 1, 10**8 - 1, 10**8, 10**12 + 7, 2**62],  # up to five 4-digit cells
+])
+def test_selection_csv_digit_edges_match_csv_writer(tmp_path, indices):
+    # each index takes one to five cells of 4 digits; 0 and the powers of 10 are their edges
+    for importance, coverage in ((indices, []), ([], indices), (indices[::2], indices[1::2])):
+        sel = PixelSelection(importance=np.array(importance, dtype=np.intp),
+                             coverage=np.array(coverage, dtype=np.intp))
+        path = tmp_path / "s.csv"
+        write_selection_csv(sel, path)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["index", "role"])
+        w.writerows([int(i), "importance"] for i in sel.importance)
+        w.writerows([int(i), "coverage"] for i in sel.coverage)
+        assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_epoch_csv_writes_csv_writer_bytes(tmp_path):

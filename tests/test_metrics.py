@@ -238,6 +238,34 @@ def test_ranking_equals_stable_argsort(kind, n):
     assert np.array_equal(_stable_ranking(u), np.argsort(u, kind="stable"))
 
 
+def _low_bit_values(gen, n, base):
+    """Distinct values around ``base`` that differ only in the bits the packed key gives to the index."""
+    low = max(n - 1, 0).bit_length()
+    return (base.view(np.int64) + gen.integers(0, 1 << low, n)).view(np.float64)
+
+
+PACKED_INPUTS = {
+    "low-bits-positive": lambda gen, n: _low_bit_values(gen, n, np.full(n, 1.0)),
+    "low-bits-negative": lambda gen, n: _low_bit_values(gen, n, np.full(n, -0.75)),
+    "low-bits-both-signs": lambda gen, n: _low_bit_values(gen, n, gen.choice([2.5, -2.5, 1e-300, -1e-300], n)),
+    "low-bits-and-ties": lambda gen, n: gen.choice(_low_bit_values(gen, 4, np.full(4, 3.0)), n),
+    "subnormals-and-zeros": lambda gen, n: gen.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308], n),
+    "negative": lambda gen, n: -gen.random(n),
+    "signed-mix": lambda gen, n: gen.choice([-3.0, -1.0, -0.0, 0.0, 1.0, 3.0, -1e308, 1e308], n),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025, 2**16 - 1, 2**16 + 1])
+@pytest.mark.parametrize("kind", sorted(PACKED_INPUTS))
+def test_packed_ranking_equals_stable_argsort(kind, n):
+    # the packed key keeps 64 - bitlen(n - 1) bits of each value; these inputs tie
+    # in those bits but differ below them, carry both signed zeros, or both signs
+    u = PACKED_INPUTS[kind](np.random.default_rng(n), n)
+    got = _stable_ranking(u)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(u, kind="stable"))
+
+
 def test_curve_validation():
     e = np.ones(10)
     with pytest.raises(ShapeError):

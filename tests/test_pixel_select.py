@@ -204,3 +204,91 @@ def test_selection_bit_equal_reference(n, seed, levels, p_valid, r_s, beta, rng_
     assert sel.coverage.dtype == coverage.dtype
     assert np.array_equal(sel.coverage, coverage)
     assert rng.counter == ref_rng.counter
+
+
+
+# ------------------------------------------- the coverage draw against the swap loop
+
+
+def _swap_loop(pool, j):
+    """The partial Fisher-Yates as a loop of swaps in place, one per step: the coverage draw's reference."""
+    pool = pool.copy()
+    for a, b in enumerate(j.tolist()):
+        pool[a], pool[b] = pool[b], pool[a]
+    return pool
+
+
+class FixedTargets:
+    """An RngState stand-in whose uniform block makes step i swap with pool slot ``targets[i]``."""
+
+    def __init__(self, targets, pool_size):
+        self.targets = np.asarray(targets, dtype=np.intp)
+        self.pool_size = pool_size
+        self.counter = 0
+
+    def uniform(self, n):
+        assert n == self.targets.size
+        self.counter += n
+        i = np.arange(n)
+        return (self.targets - i + 0.5) / (self.pool_size - i)  # floor(u * m) = target - i
+
+
+def _targets(pattern, i, size, gen):
+    """Targets in [i, size) for steps ``i``: self-swaps, chains, repeats or uniform draws."""
+    if pattern == "self":
+        return i
+    if pattern == "next":  # each step hands its value on to the next: one long chain
+        return np.minimum(i + 1, size - 1)
+    if pattern == "last":  # every step swaps with the same slot past the drawn ones
+        return np.full_like(i, size - 1)
+    if pattern == "middle":  # repeated targets that later steps reach as their own slot
+        return np.maximum(i, size // 2)
+    return i + (gen.random(i.size) * (size - i)).astype(np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 120),
+    p_valid=st.sampled_from([0.6, 1.0]),
+    share=st.floats(0.0, 1.0),
+    beta=st.sampled_from([0.0, 0.5]),
+    patterns=st.lists(st.sampled_from(["self", "next", "last", "middle", "uniform"]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coverage_draw_equals_swap_loop(size, p_valid, share, beta, patterns, seed):
+    # runs of steps that swap a slot with itself, repeat a target, or hand
+    # values down long chains of earlier steps, one run per pattern
+    gen = np.random.default_rng(seed)
+    unc = gen.choice([0.5, 1.0, 2.0], size)
+    valid = gen.random(size) < p_valid
+    n_valid = int(valid.sum())
+    n_select = min(n_valid, int(share * (n_valid + 1)))
+    r_s = n_select / n_valid if n_select else 0.4 / max(n_valid, 1)  # rounds to n_select
+    n_importance = int(np.floor(beta * n_select))
+    k, pool_size = n_select - n_importance, n_valid - n_importance
+    i = np.arange(k)
+    runs = [_targets(p, i[r::len(patterns)], pool_size, gen) for r, p in enumerate(patterns)]
+    targets = np.empty(k, dtype=np.intp)
+    for r, t in enumerate(runs):
+        targets[r::len(patterns)] = t
+    rng = FixedTargets(targets, pool_size)
+    sel = select_pixels(unc, valid, SelectionConfig(r_s=r_s, beta_ug=beta), rng)
+    assert sel.importance.size == n_importance and rng.counter == k
+    pool = np.setdiff1d(np.flatnonzero(valid), sel.importance)
+    assert sel.coverage.dtype == pool.dtype
+    assert np.array_equal(sel.coverage, np.sort(_swap_loop(pool, targets)[:k]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1000, 20_001])
+def test_coverage_draw_real_rng_equals_swap_loop(size):
+    # half the pixels drawn by the counter stream: long chains at the larger
+    # sizes, and the counter moves by one per drawn pixel
+    unc = np.zeros(size)
+    valid = np.ones(size, dtype=bool)
+    rng, ref = RngState(size), RngState(size)
+    sel = select_pixels(unc, valid, SelectionConfig(0.5, 0.0), rng)
+    k = (size + 1) // 2
+    i = np.arange(k)
+    j = i + (ref.uniform(k) * (size - i)).astype(np.intp)
+    assert np.array_equal(sel.coverage, np.sort(_swap_loop(np.arange(size), j)[:k]))
+    assert rng.counter == ref.counter == k
