@@ -15,14 +15,7 @@ import numpy as np
 
 from . import mapio, metrics, refine, synth
 from .distributions import AngMFParams, VonMFParams, expected_angular_error
-from .errors import (
-    AngmfError,
-    DegenerateResultant,
-    DegenerateVector,
-    FormatError,
-    NormalizationError,
-    NumericalError,
-)
+from .errors import AngmfError, DegenerateVector, FormatError, NumericalError
 from .estimators import KAPPA_CEILING, fit_angmf_mle, mean_direction, spherical_median
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
@@ -31,7 +24,6 @@ from .sphere import angle_between, normalize
 
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_NUMERIC = 4
 # Sample rows per simulate-boundary block (at least one trial each): bounds
 # memory for any --trials, and blocks this size stay in cache
 BOUNDARY_BLOCK_ROWS = 2**15
@@ -45,6 +37,8 @@ def _parse_direction(text):
         v = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}")
+    if not all(map(math.isfinite, v)):
+        raise argparse.ArgumentTypeError(f"non-finite component in {text!r}")
     try:
         return normalize(np.asarray(v))
     except DegenerateVector:
@@ -165,8 +159,7 @@ def _cmd_fit(args):
         stop = "did not converge"
         if args.estimator == "mle" and report.params.kappa == KAPPA_CEILING:
             stop = f"stopped at the kappa ceiling {KAPPA_CEILING}"
-        print(f"error: {args.estimator} {stop} after {report.iterations} iterations", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NumericalError(f"{args.estimator} {stop} after {report.iterations} iterations")
     return 0
 
 
@@ -354,15 +347,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError) as e:
+    except (AngmfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (NumericalError, DegenerateResultant, NormalizationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except AngmfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return e.exit_code if isinstance(e, AngmfError) else EXIT_IO
 
 
 if __name__ == "__main__":

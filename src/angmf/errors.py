@@ -2,7 +2,9 @@
 
 
 class AngmfError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``exit_code`` is the CLI's exit status for it."""
+
+    exit_code = 2
 
 
 class DegenerateVector(AngmfError):
@@ -29,16 +31,18 @@ class ShapeError(AngmfError):
     """Array arguments have incompatible shapes."""
 
 
-class DegenerateResultant(AngmfError):
+class NumericalError(AngmfError):
+    """A numerical routine diverged."""
+
+    exit_code = 4
+
+
+class DegenerateResultant(NumericalError):
     """Sample directions cancel out, so the mean direction is undefined."""
 
 
-class NormalizationError(AngmfError):
+class NormalizationError(NumericalError):
     """A direction head produced a vector too short to normalize."""
-
-
-class NumericalError(AngmfError):
-    """A numerical routine diverged."""
 
 
 class FormatError(AngmfError):
@@ -46,6 +50,8 @@ class FormatError(AngmfError):
 
     ``offset`` is the byte position at which parsing failed.
     """
+
+    exit_code = 3
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")

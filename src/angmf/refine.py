@@ -12,7 +12,9 @@ Training follows the uncertainty-guided scheme: each step forwards a full
 frame, converts kappa to expected angular error, selects pixels via
 :func:`angmf.pixel_select.select_pixels`, and backpropagates the mean nll
 over the selected pixels only, slicing the selected rows out of that same
-full-frame forward.  Updates are plain minibatch gradient descent.  Each
+full-frame forward.  Updates are plain minibatch gradient descent: a batch
+sums its gradients from zero in float64, and each weight and bias array is
+updated in place by (learning rate / batch size) times that sum.  Each
 epoch ends with one more forward per frame, which gives the mean nll, the
 kappa collapse check and the error summary.  That evaluation forwards
 frame 0 last, and the next epoch's first step, on frame 0 with the same
@@ -251,6 +253,7 @@ def train(frames, config):
         raise EmptyBatch("no training frames")
     rng = RngState(config.seed)
     mlp = init_mlp(frames[0].features.shape[-1], rng=rng)
+    params = mlp.weights + mlp.biases  # updated in place; nothing else holds these arrays
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
     # float32 features make every product float32; dot3 and log_map widen the float32 gt exactly
     data = [(f.features.reshape(-1, f.features.shape[-1]).astype(np.float32),
@@ -265,8 +268,7 @@ def train(frames, config):
         for epoch in range(1, config.epochs + 1):
             for start in range(0, len(data), config.batch_size):
                 batch = data[start:start + config.batch_size]
-                acc_w = [np.zeros_like(w) for w in mlp.weights]
-                acc_b = [np.zeros_like(b) for b in mlp.biases]
+                grads = [np.zeros_like(p) for p in params]
                 for x, gt, valid in batch:
                     # the epoch-end forward of frame 0 has this step's weights
                     fwd = reuse if reuse is not None else _forward_batch(mlp, x, work)
@@ -280,13 +282,10 @@ def train(frames, config):
                         raise DomainError(f"r_s = {config.r_s} selects no pixel of a frame "
                                           f"with {np.count_nonzero(valid)} valid pixels")
                     d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt[idx])
-                    for l in range(len(acc_w)):
-                        acc_w[l] += d_ws[l]
-                        acc_b[l] += d_bs[l]
-                scale = config.learning_rate / len(batch)
-                for l in range(len(acc_w)):
-                    mlp.weights[l] = mlp.weights[l] - scale * acc_w[l]
-                    mlp.biases[l] = mlp.biases[l] - scale * acc_b[l]
+                    for g, d in zip(grads, d_ws + d_bs):
+                        g += d
+                for p, g in zip(params, grads):
+                    p -= np.multiply(g, config.learning_rate / len(batch), out=g)
 
             epoch_stats, reuse = _evaluate(mlp, data, epoch, work)
             stats.append(epoch_stats)

@@ -22,6 +22,23 @@ from conftest import reference_median
 E_ALPHA_K1 = 1.1301368068173820266
 
 
+def _fuzz_main(capsys, argv):
+    """(exit code, stdout, stderr) of one CLI run with every warning an error and argparse exits caught."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejections
+            code = e.code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and "error: " in err and err.endswith("\n")
+    return code, out, err
+
+
 def tilted(deg):
     t = math.radians(deg)
     return [math.sin(t), 0.0, math.cos(t)]
@@ -194,6 +211,36 @@ def test_sample_bad_flags_exit_2(tmp_path):
         assert ei.value.code == 2
 
 
+# --mu components and flag values as given on the command line: special, out of range and malformed
+SAMPLE_COMPONENTS = st.sampled_from(["0", "1", "-1", "-0.0", "0.3", "1e308", "-1e308", "5e-324", "1e-320", "inf",
+                                     "-inf", "nan", "x", ""])
+SAMPLE_FLAGS = {
+    "--dist": st.sampled_from(["angmf", "vonmf", "x"]),
+    "--kappa": st.sampled_from(["0", "5e-324", "1e-300", "1", "50", "1e6", "1e308", "-1", "nan", "inf", "x"]),
+    "--n": st.sampled_from(["0", "1", "3", "-1", "1.5", "x"]),
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mu=st.lists(SAMPLE_COMPONENTS, min_size=3, max_size=3), flags=st.fixed_dictionaries({}, optional=SAMPLE_FLAGS),
+       seed=st.integers(0, 2**64 - 1))
+def test_sample_fuzz_exits_documented_codes(tmp_path, capsys, mu, flags, seed):
+    # small draws at odd --mu components and flag values: exit 0 with n unit
+    # rows and a silent stderr, or exit 2 with one error line; never a
+    # traceback or a warning
+    out = tmp_path / "s.csv"
+    out.unlink(missing_ok=True)
+    flags = {"--mu": ",".join(mu), "--kappa": "1", "--n": "3"} | flags
+    argv = ["sample", "--seed", str(seed), "--out-csv", str(out)] + [f"{f}={v}" for f, v in flags.items()]
+    code, _, _ = _fuzz_main(capsys, argv)
+    assert code in (0, 2)
+    if code == 0:
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,y,z" and len(lines) == 1 + int(flags["--n"])
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).reshape(-1, 3)
+        assert np.all(np.abs(np.sqrt(np.sum(rows * rows, axis=1)) - 1.0) < 1e-12)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
 @pytest.mark.parametrize("command", [
     ["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--out-csv", "s.csv"],
@@ -333,18 +380,14 @@ def test_fit_fuzz_exits_documented_codes(tmp_path, capsys, rows, header, newline
     csv, out = tmp_path / "fuzz.csv", tmp_path / "fit.json"
     csv.write_text("".join(line + newline for line in lines), encoding="utf-8")
     out.unlink(missing_ok=True)
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["fit", "--samples-csv", str(csv), "--estimator", estimator, "--out-json", str(out)])
-    err = capsys.readouterr().err
+    code, _, err = _fuzz_main(capsys, ["fit", "--samples-csv", str(csv), "--estimator", estimator,
+                                       "--out-json", str(out)])
     assert code in (0, 2, 3, 4)
     if code == 0:
-        assert err == ""
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert abs(math.sqrt(sum(x * x for x in payload["direction"])) - 1.0) < 1e-12
     else:
-        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("\n")
+        assert err.startswith("error: ")
 
 
 # --------------------------------------------------------- expected-error
@@ -388,6 +431,43 @@ def test_expected_error_evaluates_once_per_kappa(tmp_path, capsys, monkeypatch, 
     assert calls == [1.0, 1.0, 2.0]
     if not json_out:
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+# kappas as given on the command line: special, tiny, huge and malformed
+EXPECTED_KAPPAS = st.one_of(st.sampled_from(["0", "-0.0", "5e-324", "1e-300", "1e-17", "1", "1e200", "1e308", "-1",
+                                             "-1e308", "nan", "inf", "1e400", "x", ""]),
+                            st.floats(min_value=0.0).map(repr))
+
+
+def _finite_nonneg(text):
+    try:
+        return math.isfinite(float(text)) and float(text) >= 0.0
+    except ValueError:
+        return False
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kappas=st.lists(EXPECTED_KAPPAS, max_size=4), json_out=st.booleans())
+def test_expected_error_fuzz_exits_documented_codes(tmp_path, capsys, kappas, json_out):
+    # lists of odd kappas: exit 0 with one E[alpha] in [0, 90] per kappa and a
+    # silent stderr exactly when every kappa is finite and >= 0, else exit 2
+    # with one error line; never a traceback or a warning. --kappa=v takes one
+    # value only, so the list follows a bare --kappa; argparse reads "-1e308"
+    # there as an option, which is a usage error too
+    out = tmp_path / "e.json"
+    argv = ["expected-error", "--kappa", *kappas]
+    argv += ["--out-json", str(out)] * json_out
+    code, stdout, _ = _fuzz_main(capsys, argv)
+    assert code == (0 if kappas and all(map(_finite_nonneg, kappas)) else 2)
+    if code == 0:
+        if json_out:
+            payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+            assert sorted(payload) == sorted({str(float(k)) for k in kappas})
+            values = list(payload.values())
+        else:
+            values = [float(line) for line in stdout.splitlines()]
+            assert len(values) == len(kappas)
+        assert all(0.0 <= v <= 90.0 for v in values)
 
 
 # ------------------------------------------------------------ select-pixels
@@ -478,22 +558,13 @@ def test_map_commands_fuzz_exit_documented_codes(tmp_path, capsys, command, widt
     else:
         argv = ["select-pixels", "--kappa-map", str(kappa), "--seed", str(seed), "--out-csv", str(out)]
         argv += [f"{flag}={value}" for flag, value in flags.items()]
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse rejections
-            code = e.code
-    err = capsys.readouterr().err
+    code, _, _ = _fuzz_main(capsys, argv)
     assert code in (0, 2, 3)
     if code:
-        assert err.count("\n") == 1 and "error: " in err and err.endswith("\n")
         return
-    assert err == ""
     if command == "select-pixels":
         lines = out.read_text().splitlines()
-        assert lines[0] == "index,role" and all(0 <= int(line.split(",")[0]) < n for line in lines[1:])
+        assert lines[0] == "index,role" and all(0 <= int(line.split(",")[0]) < kw * height for line in lines[1:])
     else:
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
@@ -589,21 +660,11 @@ def test_simulate_boundary_fuzz_exits_documented_codes(tmp_path, capsys, flags, 
     out.unlink(missing_ok=True)
     argv = ["simulate-boundary", "--seed", str(seed), "--out-json", str(out)]
     argv += [f"{flag}={value}" for flag, value in ({"--trials": "3", "--samples": "20"} | flags).items()]
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse rejections
-            code = e.code
-    err = capsys.readouterr().err
+    code, _, _ = _fuzz_main(capsys, argv)
     assert code in (0, 2, 4)
     if code == 0:
-        assert err == ""
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert payload["median_wins"] + payload["mean_wins"] + payload["ties"] == payload["trials"]
-    else:
-        assert err.count("\n") == 1 and "error: " in err and err.endswith("\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -660,6 +721,38 @@ def test_refine_demo_bad_planes_and_collapsed_kappa(argv, code, message, capsys)
             got = main(base + argv)
     assert got == code
     assert message in capsys.readouterr().err
+
+
+# numeric flag values as given on the command line: in and out of range, special and malformed; the run
+# stays at most 8x8, 3 frames and 2 epochs
+REFINE_FLAGS = {
+    "--width": st.sampled_from(["8", "5", "1", "0", "-3"]),
+    "--height": st.sampled_from(["8", "3", "1", "0", "-1"]),
+    "--frames": st.sampled_from(["1", "2", "3", "0", "-1"]),
+    "--epochs": st.sampled_from(["1", "2", "0", "-1"]),
+    "--planes": st.sampled_from(["1", "2", "3", "9", "0", "-2", "1.5", "x"]),
+    "--batch-size": st.sampled_from(["1", "2", "3", "100", "0", "-1", "x"]),
+    "--lr": st.sampled_from(["1e-2", "0", "-0.0", "5e-324", "1", "1e9", "1e300", "1e308", "-1e-3", "nan", "inf",
+                             "x"]),
+    "--rs": st.sampled_from(["0.4", "1", "1e-9", "1e-300", "0", "-0.1", "1.5", "nan", "inf", "x"]),
+    "--beta": st.sampled_from(["0.7", "0", "1", "1e-300", "-0.1", "1.5", "nan", "inf", "x"]),
+    "--contamination": st.sampled_from(["0", "-0.0", "0.2", "0.4999999999", "0.5", "-0.1", "nan", "inf", "x"]),
+    "--jitter-kappa": st.sampled_from(["50", "5e-324", "1", "1e308", "0", "-1", "nan", "inf"]),
+    "--separation-deg": st.sampled_from(["60", "0", "180", "-90", "1e308", "-1e308", "5e-324", "nan", "inf", "x"]),
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.fixed_dictionaries({}, optional=REFINE_FLAGS), seed=st.integers(0, 2**64 - 1))
+def test_refine_demo_fuzz_exits_documented_codes(capsys, flags, seed):
+    # tiny runs at odd flag values: exit 0 with the last epoch's line and a
+    # silent stderr, or exit 2 or 4 with one error line; never a traceback or
+    # a warning
+    flags = {"--width": "8", "--height": "8", "--frames": "2", "--epochs": "2"} | flags
+    code, stdout, _ = _fuzz_main(capsys, ["refine-demo", "--seed", str(seed)] + [f"{f}={v}" for f, v in flags.items()])
+    assert code in (0, 2, 4)
+    if code == 0:
+        assert stdout.startswith(f"epoch {flags['--epochs']}: mean ") and stdout.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -141,6 +141,10 @@ ERRORS = {
                         "angmf sample: error: argument --mu: expected 'x,y,z', got '1,2'"),
     "sample-mu-zero": (SAMPLE + ["--mu", "0,0,0", "--seed", "1"], 2,
                        "angmf sample: error: argument --mu: direction has zero length: '0,0,0'"),
+    "sample-mu-inf": (SAMPLE + ["--mu", "inf,0,1", "--seed", "1"], 2,
+                      "angmf sample: error: argument --mu: non-finite component in 'inf,0,1'"),
+    "sample-mu-nan": (SAMPLE + ["--mu", "nan,0,1", "--seed", "1"], 2,
+                      "angmf sample: error: argument --mu: non-finite component in 'nan,0,1'"),
     "sample-kappa-negative": (SAMPLE + ["--kappa", "-1", "--seed", "1"], 2,
                               "angmf sample: error: argument --kappa: must be finite and >= 0: '-1'"),
     "sample-kappa-nan": (SAMPLE + ["--kappa", "nan", "--seed", "1"], 2,

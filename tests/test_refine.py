@@ -505,6 +505,38 @@ def test_train_forwards_each_frame_twice_per_epoch(monkeypatch):
     assert all(a.dtype == np.float64 for a in mlp.weights + mlp.biases)  # float64 master weights
 
 
+@pytest.mark.parametrize("batch_size", [1, 2])
+@pytest.mark.parametrize("lr", [1e-2, 0.0])
+def test_train_epoch_matches_sgd_by_hand(batch_size, lr):
+    # one epoch rebuilt from its parts on the run's RngState: each batch sums
+    # its gradients from zero in float64, then w <- w - (lr / B) * sum in
+    # fresh arrays; train must give the same bytes in every weight and bias
+    frames = make_dataset(2)
+    cfg = TrainConfig(seed=4, epochs=1, batch_size=batch_size, learning_rate=lr)
+    got, _ = train(frames, cfg)
+
+    rng = RngState(cfg.seed)
+    mlp = init_mlp(6, rng=rng)
+    sel = SelectionConfig(r_s=cfg.r_s, beta_ug=cfg.beta_ug)
+    data = [(f.features.reshape(-1, 6).astype(np.float32), f.gt.data.reshape(-1, 3), f.gt.valid.ravel())
+            for f in frames]
+    for start in range(0, len(data), batch_size):
+        batch = data[start:start + batch_size]
+        acc_w = [np.zeros_like(w) for w in mlp.weights]
+        acc_b = [np.zeros_like(b) for b in mlp.biases]
+        for x, gt, valid in batch:
+            fwd = _forward_batch(mlp, x)
+            idx = select_pixels(expected_angular_error(fwd[1]), valid, sel, rng).all_indices
+            d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt[idx])
+            acc_w = [a + d for a, d in zip(acc_w, d_ws)]
+            acc_b = [a + d for a, d in zip(acc_b, d_bs)]
+        scale = lr / len(batch)
+        mlp = RefineMLP(weights=[w - scale * a for w, a in zip(mlp.weights, acc_w)],
+                        biases=[b - scale * a for b, a in zip(mlp.biases, acc_b)])
+    assert [a.tobytes() for a in got.weights + got.biases] == [a.tobytes() for a in mlp.weights + mlp.biases]
+    assert all(a.dtype == np.float64 for a in got.weights + got.biases)
+
+
 def test_train_empty_dataset():
     with pytest.raises(EmptyBatch):
         train([], TrainConfig())
