@@ -9,6 +9,7 @@ validation error, 3 I/O or format error, 4 numerical failure.
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -109,6 +110,7 @@ def _cmd_sparsify(args):
     err_grid = metrics.angular_errors(pred, gt)
     ok = ~np.isnan(err_grid) & kmap.valid
     errs = err_grid[ok]
+    del pred, gt, err_grid  # the full-frame inputs are not needed past here; dropping them lowers the peak heap
     unc = expected_angular_error(kmap.data[ok])
     est = metrics.sparsification(errs, unc, metric=args.metric)
     orc = metrics.oracle_curve(errs, metric=args.metric)
@@ -258,6 +260,10 @@ def _cmd_refine_demo(args):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reports a rejection as one ``<prog>: error: ...`` line, without the usage."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")  # "-1,0,0" and "-.5,0,1" are values, not options
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

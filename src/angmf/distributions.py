@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _K2_FINITE = math.sqrt(np.finfo(np.float64).max)  # the largest kappa whose square is finite
+# E[alpha] of a larger array goes in blocks this size, whose temporaries stay in cache and grow no heap
+_EAE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -254,8 +256,16 @@ def expected_angular_error(kappa):
     ``2 kappa / (kappa^2 + 1) + pi exp(-kappa pi) / (1 + exp(-kappa pi))``.
     Returns exactly pi/2 at kappa = 0 and decreases toward 0 as kappa
     grows, which is what makes it usable as a per-pixel uncertainty
-    measure.  Broadcasts over array arguments.
+    measure.  Broadcasts over array arguments; a float array of more than
+    ``_EAE_BLOCK`` elements goes block by block, to the same bits.
     """
+    if isinstance(kappa, np.ndarray) and kappa.size > _EAE_BLOCK and kappa.dtype.kind == "f":
+        k = np.asarray(kappa)  # a plain array; float values convert to float64 alike whole or by block
+        out = np.empty(k.shape)
+        flat_k, flat_out = k.reshape(-1), out.reshape(-1)
+        for s in range(0, k.size, _EAE_BLOCK):
+            flat_out[s:s + _EAE_BLOCK] = expected_angular_error(flat_k[s:s + _EAE_BLOCK])
+        return out
     k = _check_kappa(kappa)
     z = _exp_neg_pi_k(k)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,6 +34,7 @@ every other field, or a line walk every other block (see _CSV_BLOCK).
 
 import json
 import math
+import os
 import struct
 import sys
 
@@ -158,9 +159,13 @@ class KappaMap(_Grid):
 
 
 def _read_file(path, header, magic):
-    """The bytes of ``path`` and the fields that follow the magic in its ``header``."""
-    with open(path, "rb") as f:
-        buf = f.read()
+    """The bytes of ``path`` as one uint8 array, and the fields that follow the magic in its ``header``."""
+    with open(path, "rb") as f:  # into one buffer from its byte 3: a map payload (file byte 13) is 4-aligned
+        buf = np.empty(3 + os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        buf = buf[:3 + f.readinto(memoryview(buf)[3:])]
+        if rest := f.read():  # a pipe, or a file that grew
+            buf = np.concatenate([buf, np.frombuffer(rest, dtype=np.uint8)])
+    buf = buf[3:]
     if len(buf) < header.size:
         raise FormatError(f"{path}: truncated header", offset=len(buf))
     got, *fields = header.unpack_from(buf)
@@ -181,9 +186,9 @@ def _read_map(path, magic, cls, tail):
     buf, (width, height) = _read_file(path, _HEADER, magic)
     pixel_bytes = 4 * math.prod(tail)
     _check_size(buf, _HEADER.size, _HEADER.size + pixel_bytes * width * height, path)
-    data = np.frombuffer(buf, dtype="<f4", offset=_HEADER.size)
+    data = buf[_HEADER.size:].view("<f4").reshape((height, width) + tail)
     try:
-        return cls(data.reshape((height, width) + tail).copy())
+        return cls(data)
     except DomainError as e:
         raise FormatError(f"{path}: {e}", offset=_HEADER.size + pixel_bytes * e.index) from None
 

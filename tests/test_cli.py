@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -164,6 +165,19 @@ def test_sparsify_mismatched_kappa_map(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sparsify_kappa_shape_error_comes_first(tmp_path, capsys):
+    # pred and gt disagree and the kappa map fits neither: the kappa check reports
+    # first; with a kappa map that fits pred, the pred/gt mismatch does
+    pred, gt, kpath = (str(tmp_path / name) for name in ("pred.snmp", "gt.snmp", "k.skmp"))
+    mapio.write_normal_map(NormalMap.from_vectors(np.tile([0.0, 0.0, 1.0], (2, 2, 1))), pred)
+    mapio.write_normal_map(NormalMap.from_vectors(np.tile([0.0, 0.0, 1.0], (2, 3, 1))), gt)
+    for shape, code, want in (((3, 3), 3, "kappa map (3, 3) does not match normal maps (byte offset 5)"),
+                              ((2, 2), 2, "map shapes differ: (2, 2, 3) vs (2, 3, 3)")):
+        mapio.write_kappa_map(KappaMap(np.ones(shape)), kpath)
+        assert main(["sparsify", "--pred", pred, "--gt", gt, "--kappa", kpath]) == code
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+
 # ----------------------------------------------------------------- sample
 
 
@@ -205,10 +219,22 @@ def test_sample_bad_flags_exit_2(tmp_path):
                 ["--mu", "a,b,c", "--kappa", "1"],
                 ["--mu", "0,0,0", "--kappa", "1"],
                 ["--mu", "0,0,1", "--kappa", "-1"],
-                ["--mu", "0,0,1", "--kappa", "nan"]):
+                ["--mu", "0,0,1", "--kappa", "nan"],
+                ["--mu", "-1,x,0", "--kappa", "1"],
+                ["--mu", "-.", "--kappa", "1"],
+                ["--mu", "-x", "--kappa", "1"]):
         with pytest.raises(SystemExit) as ei:
             main(base + bad)
         assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("mu", ["-1,0,0", "-.5,0,1", "-0.6,-0.8,0"])
+def test_sample_mu_may_start_with_a_minus(tmp_path, mu):
+    # "--mu -1,0,0" is a value, not an unknown option, and gives the bytes of "--mu=-1,0,0"
+    outs = [tmp_path / "separate.csv", tmp_path / "joined.csv"]
+    for out, form in zip(outs, (["--mu", mu], [f"--mu={mu}"])):
+        assert main(["sample", *form, "--kappa", "2", "--n", "5", "--seed", "3", "--out-csv", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # --mu components and flag values as given on the command line: special, out of range and malformed
@@ -568,6 +594,56 @@ def test_map_commands_fuzz_exit_documented_codes(tmp_path, capsys, command, widt
     else:
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
+
+
+# Peak traced heap of each map command at 640x480 under numpy 2.4.6, which
+# reports its buffers to tracemalloc: eval 12.4 MiB, sparsify 13.1-14.8 MiB,
+# select-pixels 14.3 MiB.  Reading a map once into its array, dropping the
+# full-frame inputs before E[alpha] and taking E[alpha] in blocks brought
+# eval down from 15.9 MiB and sparsify from 25.2 MiB.
+MAP_PEAK_MIB = {"eval": 13.5, "sparsify": 16.0, "select-pixels": 15.0}
+
+
+@pytest.fixture(scope="module")
+def frame_maps(tmp_path_factory):
+    """pred, gt and kappa files of one seeded 640x480 frame with NaN holes."""
+    gen = np.random.default_rng(25)
+    h, w = 480, 640
+    gt = gen.standard_normal((h, w, 3)) + [0.0, 0.0, 3.0]
+    pred = gt + 0.1 * gen.standard_normal((h, w, 3))
+    kappa = np.exp(gen.uniform(math.log(2.0), math.log(300.0), (h, w)))
+    kappa[gen.random((h, w)) < 0.01] = np.nan
+    d = tmp_path_factory.mktemp("frame")
+    paths = {name: str(d / name) for name in ("pred", "gt", "kappa")}
+    mapio.write_normal_map(NormalMap.from_vectors(pred, valid=gen.random((h, w)) >= 0.02), paths["pred"])
+    mapio.write_normal_map(NormalMap.from_vectors(gt, valid=gen.random((h, w)) >= 0.03), paths["gt"])
+    mapio.write_kappa_map(KappaMap(kappa), paths["kappa"])
+    return paths, d
+
+
+def _peak_mib(argv):
+    """Peak traced heap of one in-process CLI run, after an untraced run of the same argv."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["select-pixels"]] + [["sparsify", "--metric", m]
+                                                                    for m in metrics.METRIC_NAMES],
+                         ids=lambda argv: "-".join(argv[::2]))
+def test_map_commands_peak_memory(frame_maps, argv):
+    paths, d = frame_maps
+    command = argv[0]
+    if command == "select-pixels":
+        argv = argv + ["--kappa-map", paths["kappa"], "--seed", "7", "--out-csv", str(d / "sel.csv")]
+    else:
+        argv = argv + ["--pred", paths["pred"], "--gt", paths["gt"], "--out-json", str(d / "out.json")]
+        argv += ["--kappa", paths["kappa"]] if command == "sparsify" else []
+    assert _peak_mib(argv) <= MAP_PEAK_MIB[command]
 
 
 # -------------------------------------------------------- simulate-boundary

@@ -20,6 +20,7 @@ from angmf import (
     vonmf_nll_grad,
     vonmf_pdf,
 )
+from angmf import distributions
 from angmf.distributions import angmf_nll_at, angmf_nll_rows
 from angmf.errors import DegenerateVector, DomainError, ShapeError
 from angmf.sphere import normalize, tangent_basis
@@ -331,6 +332,44 @@ def test_expected_error_past_kappa_squared_overflow():
         k = math.nextafter(k, math.inf)
     assert expected_angular_error(1e200) == 2e-200
     assert expected_angular_error(np.finfo(float).max) == 2.0 / np.finfo(float).max
+
+
+EAE_BLOCK = distributions._EAE_BLOCK
+# kappa = 0, the smallest subnormal, float32's max and one past _K2_FINITE, where k^2 overflows
+EAE_EDGES = np.array([0.0, 5e-324, float(np.finfo(np.float32).max), 2.0 * distributions._K2_FINITE])
+
+
+def _bits(e):
+    return type(e), np.asarray(e).shape, np.asarray(e, dtype=np.float64).tobytes()
+
+
+def _one_pass_expected_error(kappa):
+    """expected_angular_error over the whole of ``kappa`` at once, with blocks too large to split any input."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_EAE_BLOCK", 2**62)
+        return expected_angular_error(kappa)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, EAE_BLOCK - 1, EAE_BLOCK, EAE_BLOCK + 1, 2 * EAE_BLOCK + 1, 640 * 480])
+def test_expected_error_blocks_match_one_pass(n, dtype):
+    # float arrays past EAE_BLOCK elements go block by block; every input form
+    # must give the bits of the formula taken over the whole array at once
+    gen = np.random.default_rng(n)
+    k = np.exp(gen.uniform(-40.0, 40.0, n)).astype(dtype)
+    edges = EAE_EDGES[EAE_EDGES <= np.finfo(dtype).max].astype(dtype)  # 5e-324 is a float32 0
+    k[:edges.size], k[-edges.size:] = edges[:n], edges[-n:]
+    h = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    for kappa in (k, k.reshape(h, -1), k.reshape(h, -1).T, k.tolist(), k[0], k[-1], float(k[-1])):
+        assert _bits(expected_angular_error(kappa)) == _bits(_one_pass_expected_error(kappa))
+    # a bad kappa in the last block alone gives the one-pass error
+    for bad in (-1.0, math.nan):
+        k[-1] = bad
+        with pytest.raises(DomainError) as want:
+            _one_pass_expected_error(k)
+        with pytest.raises(DomainError) as got:
+            expected_angular_error(k)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------- properties

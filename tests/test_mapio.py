@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import sys
+import threading
 import warnings
 from decimal import Decimal
 
@@ -371,6 +373,62 @@ def test_map_files_round_trip_property(tmp_path_factory, height, width, seed, na
         assert back == m and back.data.shape == data.shape
         write(back, d / "b")
         assert (d / "b").read_bytes() == raw
+
+
+def _copied_payload(path, tail):
+    """A map file's payload as the reader once took it: the whole file as bytes, then a copy of its float32s."""
+    raw = path.read_bytes()
+    width, height = struct.unpack_from("<II", raw, 5)
+    return np.frombuffer(raw, dtype="<f4", offset=13).reshape((height, width) + tail).copy()
+
+
+def _nan_maps(height, width, seed):
+    """A normal and a kappa grid of float32 with NaN holes of every payload in NAN_BITS."""
+    gen = np.random.default_rng(seed)
+    nans = NAN_BITS.view(np.float32)
+    normals = unit_grid(height, width, seed=seed).astype(np.float32)
+    holes = gen.random((height, width)) < 0.3
+    normals[holes] = nans[gen.integers(0, nans.size, (int(holes.sum()), 1))]
+    kappa = gen.uniform(0.0, 300.0, (height, width)).astype(np.float32)
+    kappa[holes] = nans[gen.integers(0, nans.size, int(holes.sum()))]
+    return normals, kappa
+
+
+@pytest.mark.parametrize("height, width", [(0, 0), (1, 1), (7, 5), (48, 64)])
+def test_map_read_keeps_one_aligned_writable_array(tmp_path, height, width):
+    # the payload is read straight into the array the map keeps: it is the
+    # old read's copy bit for bit, NaN payloads included, and owned by this read alone
+    normals, kappa = _nan_maps(height, width, seed=height)
+    for write, read, cls, data, tail in ((write_normal_map, read_normal_map, NormalMap, normals, (3,)),
+                                         (write_kappa_map, read_kappa_map, KappaMap, kappa, ())):
+        path = tmp_path / "m"
+        write(cls(data), path)
+        first, second = read(path).data, read(path).data
+        for got in (first, second):
+            assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+            assert got.dtype == np.float32 and got.shape == data.shape
+            assert got.tobytes() == _copied_payload(path, tail).tobytes() == data.tobytes()
+        assert not np.shares_memory(first, second)
+        first[...] = 0.0
+        assert second.tobytes() == data.tobytes()
+
+
+def test_map_read_through_a_pipe(tmp_path):
+    # a FIFO has no size to read into; its bytes arrive in pipe-buffer chunks
+    # (the 691 KiB map is many of them) and the read gives what a file gives
+    normals, kappa = _nan_maps(120, 160, seed=5)
+    for write, read, cls, data in ((write_normal_map, read_normal_map, NormalMap, normals),
+                                   (write_kappa_map, read_kappa_map, KappaMap, kappa)):
+        path, fifo = tmp_path / "m", tmp_path / "fifo"
+        write(cls(data), path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        got = read(fifo)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert got == read(path) and got.data.flags.aligned
+        fifo.unlink()
 
 
 # ------------------------------------------------------------ kappa maps
