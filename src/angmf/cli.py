@@ -74,22 +74,23 @@ _nonneg_float = _float_where(lambda v: v >= 0.0, "finite and >= 0")
 _positive_float = _float_where(lambda v: v > 0.0, "finite and > 0")
 
 
-def _positive_int(text):
-    v = int(text)  # argparse turns a ValueError into a usage error
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return v
+def _int_where(ok, requirement):
+    """An argparse type for integers that also satisfy ``ok``."""
+
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must {requirement}: {text!r}")
+        return v
+
+    return parse
 
 
-def _seed(text):
-    """An argparse type for seeds: the integers in [0, 2**64), which RngState takes unwrapped."""
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not 0 <= v < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64): {text!r}")
-    return v
+_positive_int = _int_where(lambda v: v >= 1, "be >= 1")
+_seed = _int_where(lambda v: 0 <= v < 1 << 64, "lie in [0, 2**64)")
 
 
 def _cmd_eval(args):

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _K2_FINITE = math.sqrt(np.finfo(np.float64).max)  # the largest kappa whose square is finite
-# E[alpha] of a larger array goes in blocks this size, whose temporaries stay in cache and grow no heap
+# E[alpha] goes in blocks this size, whose temporaries stay in cache and grow no heap
 _EAE_BLOCK = 16384
 
 
@@ -256,21 +256,19 @@ def expected_angular_error(kappa):
     ``2 kappa / (kappa^2 + 1) + pi exp(-kappa pi) / (1 + exp(-kappa pi))``.
     Returns exactly pi/2 at kappa = 0 and decreases toward 0 as kappa
     grows, which is what makes it usable as a per-pixel uncertainty
-    measure.  Broadcasts over array arguments; a float array of more than
-    ``_EAE_BLOCK`` elements goes block by block, to the same bits.
+    measure.  Broadcasts over array arguments, which go through in blocks
+    of ``_EAE_BLOCK`` elements; a scalar is one block of one.
     """
-    if isinstance(kappa, np.ndarray) and kappa.size > _EAE_BLOCK and kappa.dtype.kind == "f":
-        k = np.asarray(kappa)  # a plain array; float values convert to float64 alike whole or by block
-        out = np.empty(k.shape)
-        flat_k, flat_out = k.reshape(-1), out.reshape(-1)
-        for s in range(0, k.size, _EAE_BLOCK):
-            flat_out[s:s + _EAE_BLOCK] = expected_angular_error(flat_k[s:s + _EAE_BLOCK])
-        return out
-    k = _check_kappa(kappa)
-    z = _exp_neg_pi_k(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 2.0 * k / (k * k + 1.0) + math.pi * (z / (1.0 + z))
-    big = k > _K2_FINITE
-    if np.any(big):  # k^2 overflows there, where 2 k / (k^2 + 1) is 2 / k
-        out = np.where(big, 2.0 / np.maximum(k, 1.0), out)
+    kappa = np.asarray(kappa, dtype=None if isinstance(kappa, np.ndarray) else np.float64)  # arrays convert by block
+    out = np.empty(kappa.shape)
+    flat_k, flat_out = kappa.reshape(-1), out.reshape(-1)
+    for s in range(0, kappa.size, _EAE_BLOCK):
+        k = _check_kappa(flat_k[s:s + _EAE_BLOCK])
+        z = _exp_neg_pi_k(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = 2.0 * k / (k * k + 1.0) + math.pi * (z / (1.0 + z))
+        big = k > _K2_FINITE
+        if np.any(big):  # k^2 overflows there, where 2 k / (k^2 + 1) is 2 / k
+            block = np.where(big, 2.0 / np.maximum(k, 1.0), block)
+        flat_out[s:s + _EAE_BLOCK] = block
     return out if out.ndim else float(out)

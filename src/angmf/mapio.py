@@ -29,7 +29,8 @@ Ryu in the band 1e-4 <= |x| < 1 and from ``repr`` elsewhere (see _CSV_BATCH).
 They are read back to the bits ``float()`` gives each field: a vectorised
 parser (SWAR digits, Eisel-Lemire rounding) takes fields -?D*(.D*)? of at
 most 19 significant digits in blocks of plain ASCII rows, and ``float()``
-every other field, or a line walk every other block (see _CSV_BLOCK).
+every other field; a file with any other block, or a field that fails,
+is read by one line walk from its start (see _CSV_BLOCK).
 """
 
 import json
@@ -325,17 +326,23 @@ def _shortest_digits(x):
     return usable, out, decpt
 
 
+def _quad_cells(x, cells):
+    """Write nonnegative integers ``x`` into the (N, c) uint32 ``cells`` as _QUADS, last column first."""
+    q = x.dtype.type(10000)
+    for c in range(cells.shape[1] - 1, -1, -1):
+        rest = x // q
+        cells[:, c] = np.take(_QUADS, x - rest * q + (x < q) * q)
+        x = rest
+
+
 def _vector_rows(v):
     """The ``x,y,z\\r\\n`` lines of an (N, 3) float64 array as bytes, every field exactly its repr."""
     x = v.ravel()
-    usable, out, decpt = _shortest_digits(x)
+    usable, digits, decpt = _shortest_digits(x)
     # 32 bytes per field as 8 uint32 cells: prefix, 20 right-aligned digit bytes, delimiter; NULs are dropped
     cells = np.empty((x.size, 8), dtype=np.uint32)
     cells[:, :2] = np.take(_PREFIX, np.signbit(x) * 4 - decpt, axis=0, mode="clip")
-    for c in range(6, 1, -1):
-        rest = out // np.uint64(10000)
-        cells[:, c] = np.take(_QUADS, out - rest * np.uint64(10000) + (out < np.uint64(10000)) * np.uint64(10000))
-        out = rest
+    _quad_cells(digits, cells[:, 2:7])
     cells.reshape(len(v), 3, 8)[:, :, 7] = _DELIMS
     text = cells.view(np.uint8)
     for k in np.flatnonzero(~usable).tolist():
@@ -361,37 +368,33 @@ def _is_header(line):
     return line.strip().lower().replace(" ", "") == "x,y,z"
 
 
-def _data_lines(raw, header=True):
-    """(byte offset, stripped text) of each non-empty line, less an x,y,z first line when ``header``."""
-    offset = 0
+def _walk_lines(raw, path):
+    """Each field's float() value, or the FormatError of the first malformed line, else of the first non-finite one."""
+    values, non_finite, end = [], None, 0
     for i, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(keepends=True)):
+        start, end = end, end + len(line.encode("utf-8"))  # the line's byte offsets
         stripped = line.strip()
-        if stripped and not (header and i == 0 and _is_header(stripped)):
-            yield offset, stripped
-        offset += len(line.encode("utf-8"))
-
-
-def _bad_line_error(raw, path):
-    """The FormatError of the first malformed line, else of the first non-finite one."""
-    first_non_finite = None
-    for offset, stripped in _data_lines(raw):
+        if not stripped or i == 0 and _is_header(stripped):  # blank lines and an x,y,z first line
+            continue
         parts = stripped.split(",")
         if len(parts) != 3:
-            return FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=offset)
+            raise FormatError(f"{path}: expected 3 columns, got {len(parts)}", offset=start)
         try:
-            values = [float(p) for p in parts]
+            row = [float(p) for p in parts]
         except ValueError:
-            return FormatError(f"{path}: non-numeric field in {stripped!r}", offset=offset)
-        if first_non_finite is None and not all(map(math.isfinite, values)):
-            first_non_finite = (offset, stripped)
-    offset, stripped = first_non_finite
-    return FormatError(f"{path}: non-finite field in {stripped!r}", offset=offset)
+            raise FormatError(f"{path}: non-numeric field in {stripped!r}", offset=start) from None
+        if non_finite is None and not all(map(math.isfinite, row)):
+            non_finite = FormatError(f"{path}: non-finite field in {stripped!r}", offset=start)
+        values += row
+    if non_finite is not None:
+        raise non_finite
+    return values
 
 
 # Vector CSVs are read in blocks of about _CSV_BLOCK bytes, cut after a "\n".
 # A block takes the fast path when its bytes are printable ASCII, "\r" and
 # "\n", each "\r" comes right before a "\n" and its delimiters repeat as ",",
-# ",", "\n"; any other block goes through the line walk of _bad_line_error.
+# ",", "\n"; any other block sends the whole file through _walk_lines.
 # A fast field -?D*(.D*)? of at most 24 bytes after its sign is read from the
 # 24 bytes that end it, as 3 little-endian uint64 words: the dot is deleted by
 # moving the bytes below it up one, the bytes below the first digit become
@@ -416,7 +419,7 @@ _TEN = np.array([((1 << 127 + (5**k).bit_length()) // 5**k if k else 1 << 127) >
 
 
 def _fast_fields(block):
-    """(values, (index, bytes) pairs left to float()) of a block after _PAD bytes, or None off the fast path."""
+    """Each field's float() value in a block after _PAD bytes; None off the fast path or if one fails or is inf/nan."""
     u = np.uint64
     b = np.frombuffer(block, np.uint8)
     t = b[_PAD:]
@@ -432,6 +435,7 @@ def _fast_fields(block):
     neg = t[s] == 45
     n = e - s - neg  # bytes after the sign
     dots = np.flatnonzero(t == 46)
+    # kept: a slice, not a searchsorted, when every field has its one dot, as the writer's do; reads 5-10 % faster
     own = dots.size == d.size and (dots < e).all() and (dots[1:] > d[:-1]).all()  # one dot in every field
     at = slice(None) if own else np.searchsorted(d, dots)
     j = np.zeros_like(d)  # the dot's place from the field's end, 0 without one
@@ -464,9 +468,14 @@ def _fast_fields(block):
     bits = (exp2.astype(np.uint64) << u(52)) + ((mant + (mant & u(1))) >> u(1))
     bits[w == 0] = 0
     bits |= neg.astype(np.uint64) << u(63)
+    vals = bits.view(np.float64)
     left = np.flatnonzero(~fast)
-    return bits.view(np.float64), [(i, block[_PAD + a:_PAD + z]) for i, a, z in
-                                   zip(left.tolist(), s[left].tolist(), e[left].tolist())]
+    try:
+        for i, a, z in zip(left.tolist(), s[left].tolist(), e[left].tolist()):
+            vals[i] = float(block[_PAD + a:_PAD + z])
+    except ValueError:
+        return None
+    return vals if np.isfinite(vals).all() else None
 
 
 def read_vectors_csv(path):
@@ -474,40 +483,27 @@ def read_vectors_csv(path):
 
     Every field gets the bits ``float()`` gives it; blank lines and an x,y,z
     header on the first line are skipped.  Blocks of plain ASCII rows take a
-    vectorised parser (see _CSV_BLOCK), other blocks a line walk.  A row of
-    other than 3 fields, a field ``float()`` rejects or a non-finite value
-    sends the whole file through ``_bad_line_error``, which names the first
-    malformed line (or, if there is none, the first non-finite one) and its
-    byte offset.
+    vectorised parser (see _CSV_BLOCK).  Any other block, a row of other
+    than 3 fields, a field ``float()`` rejects or a non-finite value sends
+    the whole file through one line walk, ``_walk_lines``, which gives the
+    values or names the first malformed line (or, if there is none, the
+    first non-finite one) and its byte offset.
     """
     with open(path, "rb") as f:
         raw = f.read()
     first = raw[:raw.find(b"\n") + 1 or len(raw)]
-    head = first.decode("utf-8", errors="replace").splitlines()
-    lo = len(first) if len(head) == 1 and _is_header(head[0]) else 0
+    head = first.decode("utf-8", errors="replace")
+    # a line separator ahead of x,y,z makes it the second line: only spaces and tabs may come first
+    lo = len(first) if _is_header(head) and not head.lstrip(" \t")[:1].isspace() else 0
     out = np.empty(raw.count(b",") // 2 * 3)
     n = 0
     while lo < len(raw):
         hi = raw.find(b"\n", lo + _CSV_BLOCK) + 1 or len(raw)
         block = raw[lo:hi]
         end = b"" if block.endswith(b"\n") else b"\n"  # a line end after the last line changes no line
-        parsed = _fast_fields(b"0" * _PAD + block + end)
-        if parsed is None:
-            texts = []
-            for _, line in _data_lines(block, header=lo == 0):
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise _bad_line_error(raw, path)
-                texts += parts
-            parsed = np.empty(len(texts)), enumerate(texts)
-        vals, rest = parsed
-        try:
-            for i, text in rest:
-                vals[i] = float(text)
-        except ValueError:
-            raise _bad_line_error(raw, path) from None
-        if not np.isfinite(vals).all():
-            raise _bad_line_error(raw, path)
+        vals = _fast_fields(b"0" * _PAD + block + end)
+        if vals is None:
+            return np.array(_walk_lines(raw, path), dtype=np.float64).reshape(-1, 3)
         out[n:n + vals.size] = vals
         n += vals.size
         lo = hi
@@ -516,15 +512,12 @@ def read_vectors_csv(path):
 
 def _index_rows(idx, tail):
     """The ``{index}{tail}`` lines of nonnegative integers as bytes, in 4-digit cells of _QUADS."""
-    idx = x = np.asarray(idx, dtype=np.int64)
-    quads = (len(str(int(x.max()))) + 3) // 4 if x.size else 1
+    idx = np.asarray(idx, dtype=np.int64)
+    quads = (len(str(int(idx.max()))) + 3) // 4 if idx.size else 1
     tail = np.frombuffer(tail.ljust(-(-len(tail) // 4) * 4, b"\0"), dtype=np.uint32)
-    cells = np.empty((x.size, quads + tail.size), dtype=np.uint32)
+    cells = np.empty((idx.size, quads + tail.size), dtype=np.uint32)
     cells[:, quads:] = tail
-    for c in range(quads - 1, -1, -1):
-        rest = x // 10000
-        cells[:, c] = np.take(_QUADS, x - rest * 10000 + (x < 10000) * 10000)
-        x = rest
+    _quad_cells(idx, cells[:, :quads])
     cells[idx == 0, quads - 1] = ord("0")  # the leading form of 0 is all NULs
     return cells.tobytes().translate(None, b"\0")
 

@@ -32,7 +32,7 @@ buffer per (layer, rows), and every forward writes its matrix products
 into it.  A forward's layer activations and raw head output alias those
 buffers and stay valid only until the next forward of as many rows, so
 each backward runs before the next forward.  The single-pixel ``forward``
-and ``backward`` run in float64 and use no workspace.
+and ``backward`` run in float64, each on a workspace of its own.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
@@ -106,16 +106,15 @@ def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
     return RefineMLP(weights=weights, biases=biases)
 
 
-def _forward_batch(mlp, x, work=None):
+def _forward_batch(mlp, x, work):
     """Forward a (N, in_dim) batch; returns (mu, kappa, (acts, z, r)): layer inputs, raw head output, |v|.
 
     The layer products run in float32 for float32 ``x`` and in float64 for
     any other input; ``mu``, ``kappa`` and ``r`` are float64 either way.
-    ``work`` is an optional workspace dict that maps (layer, N) to that
-    layer's output buffer; missing buffers are added on first use, in the
-    dtype of the first forward that needs them.  With a workspace,
-    ``acts[1:]`` and ``z`` alias its buffers and stay valid only until the
-    next forward of N rows on it.
+    ``work`` is a workspace dict that maps (layer, N) to that layer's output
+    buffer; missing buffers are added on first use, in the dtype of the
+    first forward that needs them.  ``acts[1:]`` and ``z`` alias its buffers
+    and stay valid only until the next forward of N rows on it.
     """
     x = np.asarray(x)
     x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
@@ -124,11 +123,9 @@ def _forward_batch(mlp, x, work=None):
     acts = [x]
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out = None
-        if work is not None:
-            out = work.get((l, len(x)))
-            if out is None:
-                out = work[(l, len(x))] = np.empty((len(x), w.shape[0]), dtype=x.dtype)
+        out = work.get((l, len(x)))
+        if out is None:
+            out = work[(l, len(x))] = np.empty((len(x), w.shape[0]), dtype=x.dtype)
         z = np.matmul(acts[l], w.T.astype(x.dtype, copy=False), out=out)
         z += b.astype(x.dtype, copy=False)
         if l < last:
@@ -144,7 +141,7 @@ def _forward_batch(mlp, x, work=None):
 
 def forward(mlp, feature):
     """Per-pixel prediction as AngMFParams."""
-    mu, kappa, _ = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :])
+    mu, kappa, _ = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :], {})
     return AngMFParams(mu=mu[0], kappa=float(kappa[0]))
 
 
@@ -161,7 +158,7 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
 
 
 def _backward_batch(mlp, rows, fwd, n_gt):
-    """Mean-nll gradients (dWs, dbs) over the non-empty ``rows`` of ``fwd = _forward_batch(mlp, x)``."""
+    """Mean-nll gradients (dWs, dbs) over the non-empty ``rows`` of ``fwd = _forward_batch(mlp, x, work)``."""
     mu, kappa, (acts, z, r) = fwd
     n_gt = np.asarray(n_gt, dtype=np.float64)
     if n_gt.shape != (len(rows), 3):
@@ -183,7 +180,7 @@ def _backward_batch(mlp, rows, fwd, n_gt):
 
 def backward(mlp, feature, n_gt):
     """Single-pixel nll gradients in every weight and bias."""
-    fwd = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :])
+    fwd = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :], {})
     return _backward_batch(mlp, [0], fwd, np.asarray(n_gt, dtype=np.float64)[None, :])
 
 
@@ -212,7 +209,7 @@ class EpochStats:
     report: MetricsReport
 
 
-def _evaluate(mlp, data, epoch, work=None):
+def _evaluate(mlp, data, epoch, work):
     """EpochStats from one forward per frame: mean nll over valid pixels, then errors.
 
     Frame 0 is forwarded last, and that forward is returned with the stats

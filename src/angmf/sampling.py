@@ -103,20 +103,15 @@ def _frame(mu, alpha, phi):
     )
 
 
-def _angmf_from_uniforms(mu, kappa, u, v):
-    """AngMF draws from radial uniforms ``u`` and azimuth uniforms ``v``, around ``mu`` (3,) or per draw."""
+def draw_angmf(mu, kappa, u, v):
+    """AngMF draws from radial uniforms ``u`` and azimuth uniforms ``v``, around one (3,) ``mu`` or one per draw."""
     return _frame(mu, invert_error_cdf(kappa, u), 2.0 * math.pi * v)
-
-
-def draw_angmf(mu, kappa, count, rng):
-    """``count`` AngMF draws around one (3,) ``mu`` or around (count, 3) per-row means."""
-    u = rng.uniform(count)
-    return _angmf_from_uniforms(mu, kappa, u, rng.uniform(count))
 
 
 def sample_angmf(params, count, rng):
     """Draw ``count`` exact AngMF samples as a (count, 3) array."""
-    return draw_angmf(params.mu, params.kappa, _check_count(count), rng)
+    count = _check_count(count)
+    return draw_angmf(params.mu, params.kappa, rng.uniform(count), rng.uniform(count))  # radial, then azimuth
 
 
 def sample_vonmf(params, count, rng):

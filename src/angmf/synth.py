@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
-from .sampling import _angmf_from_uniforms, _check_count, draw_angmf
+from .sampling import _check_count, draw_angmf
 from .sphere import as_unit
 
 __all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
@@ -98,7 +98,7 @@ def sample_boundary_pixels(scene, rng, count, trials=None):
     sets = 1 if trials is None else _check_count(trials)
     u = rng.uniform(3 * sets * count).reshape(sets, 3, count)
     bases = np.where((u[:, 0] < scene.contamination)[..., None], scene.normal_b, scene.normal_a)
-    out = _angmf_from_uniforms(bases, scene.jitter_kappa, u[:, 1], u[:, 2])
+    out = draw_angmf(bases, scene.jitter_kappa, u[:, 1], u[:, 2])
     return out[0] if trials is None else out
 
 
@@ -148,7 +148,8 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     gt = np.where(flip[..., None], normals[neighbor_of_col], own)
 
     if jitter_kappa is not None:
-        gt = draw_angmf(gt.reshape(-1, 3), jitter_kappa, height * width, rng).reshape(height, width, 3)
+        n = height * width
+        gt = draw_angmf(gt.reshape(-1, 3), jitter_kappa, rng.uniform(n), rng.uniform(n)).reshape(height, width, 3)
 
     noise = rng.uniform(5 * height * width).reshape(height, width, 5)
     features = np.empty((height, width, FEATURE_DIM))

@@ -341,7 +341,7 @@ def _training_frames(seed, n_frames, width, height, n_planes, contamination):
 
 def _frame_eval(mlp, frame):
     x = frame.features.reshape(-1, frame.features.shape[-1])
-    mu, kappa, _ = _forward_batch(mlp, x)
+    mu, kappa, _ = _forward_batch(mlp, x, {})
     pred = NormalMap.from_vectors(mu.reshape(frame.height, frame.width, 3),
                                   valid=frame.gt.valid)
     err = angular_errors(pred, frame.gt)

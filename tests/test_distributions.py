@@ -353,14 +353,17 @@ def _one_pass_expected_error(kappa):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, EAE_BLOCK - 1, EAE_BLOCK, EAE_BLOCK + 1, 2 * EAE_BLOCK + 1, 640 * 480])
 def test_expected_error_blocks_match_one_pass(n, dtype):
-    # float arrays past EAE_BLOCK elements go block by block; every input form
-    # must give the bits of the formula taken over the whole array at once
+    # every input goes block by block; every input form must give the bits of
+    # the formula taken over the whole array at once
     gen = np.random.default_rng(n)
     k = np.exp(gen.uniform(-40.0, 40.0, n)).astype(dtype)
     edges = EAE_EDGES[EAE_EDGES <= np.finfo(dtype).max].astype(dtype)  # 5e-324 is a float32 0
     k[:edges.size], k[-edges.size:] = edges[:n], edges[-n:]
     h = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-    for kappa in (k, k.reshape(h, -1), k.reshape(h, -1).T, k.tolist(), k[0], k[-1], float(k[-1])):
+    # besides: int64 values past 2**53, which round on the way to float64, an empty array and a strided float32 view
+    others = (gen.integers(0, 2**63 - 1, n), k[:0], k.reshape(h, -1)[:0],
+              np.exp(gen.uniform(-40.0, 40.0, 3 * n)).astype(np.float32)[::3])
+    for kappa in (k, k.reshape(h, -1), k.reshape(h, -1).T, k.tolist(), k[0], k[-1], float(k[-1]), *others):
         assert _bits(expected_angular_error(kappa)) == _bits(_one_pass_expected_error(kappa))
     # a bad kappa in the last block alone gives the one-pass error
     for bad in (-1.0, math.nan):

@@ -197,6 +197,8 @@ ERRORS = {
                              "error: jitter_kappa must be finite and > 0, got 0.0"),
     "simulate-trials-zero": (["simulate-boundary", "--trials", "0", "--seed", "1"], 2,
                              "angmf simulate-boundary: error: argument --trials: must be >= 1: '0'"),
+    "simulate-trials-word": (["simulate-boundary", "--trials", "x", "--seed", "1"], 2,
+                             "angmf simulate-boundary: error: argument --trials: invalid int value: 'x'"),
     "simulate-seed-2^64": (SIMULATE + ["--seed", "18446744073709551616"], 2,
                            "angmf simulate-boundary: error: argument --seed: must lie in [0, 2**64): "
                            "'18446744073709551616'"),
@@ -206,6 +208,8 @@ ERRORS = {
                            "error: jitter_kappa must be finite and > 0, got 0.0"),
     "refine-width-zero": (REFINE + ["--width", "0", "--seed", "0"], 2, "error: frame must be at least 1x1, got 0x8"),
     "refine-planes-too-many": (REFINE + ["--planes", "9", "--seed", "0"], 2, "error: 9 planes do not fit in width 8"),
+    "refine-planes-fraction": (REFINE + ["--planes", "1.5", "--seed", "0"], 2,
+                               "angmf refine-demo: error: argument --planes: invalid int value: '1.5'"),
     "refine-no-frames": (REFINE + ["--frames", "0", "--seed", "0"], 2, "error: no training frames"),
     "refine-epochs-zero": (REFINE + ["--epochs", "0", "--seed", "0"], 2, "error: epochs and batch_size must be >= 1"),
     "refine-lr-collapse": (REFINE + ["--lr", "1e9", "--seed", "0"], 4,

@@ -623,6 +623,19 @@ _GOOD = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in np.random.default_rng(7).s
         "x,y,z\r" + _GOOD.replace("\n", "\r") + "1,,3\r",
         "x,y,z\n1,nan,3\n" + _GOOD + "1,2,3,4\n",  # non-finite first, malformed later
         "x,y,z\n" + _GOOD + "1,inf,3\n" + _GOOD + "-Infinity,1,3\n",
+        # five blocks whose middle one holds a tab or a fullwidth 1, then a non-finite row in the
+        # first block and a 2-field row in the third: the line walk reads the whole file
+        "x,y,z\n" + _GOOD + "1,\t2,3\n" + _GOOD,
+        "x,y,z\n" + _GOOD + "\uff11,2,3\n" + _GOOD,
+        "x,y,z\n1,inf,3\n" + _GOOD + "\uff11,\t2,3\n4,5\n" + _GOOD,
+        # first lines that splitlines cuts further: a header then a blank line (\x0b, \x1c) or a
+        # row (\x0c), and a blank line then an x,y,z that is data; the spaced header is one line
+        "x,y,z\x0b\n1,2,3\n",
+        "x,y,z\x1c\n1,2,3\n",
+        " X, Y, Z \r\n1,2,3\r\n",
+        "x,y,z\x0c1,2,3\n",
+        "\x0bx,y,z\n1,2,3\n",
+        " \x1cX,Y,Z\n" + _GOOD,
         "x,y,z\n1,2,3\n\xe9,1,2\n",
         "x,y,z\n1,2\n3,4,5,6\n",  # rows of 2 and 4 fields: as many commas and line ends as 2 good rows
         "x,y,z\n1,2\r,3\n",  # a lone carriage return ends a line; float() would strip it

@@ -91,7 +91,7 @@ def test_forward_head_invariants_seeded():
     mlp = init_mlp(6, hidden_dims=(16, 16), rng=RngState(1))
     gen = np.random.default_rng(2)
     x = gen.uniform(-1.0, 1.0, size=(1000, 6))
-    mu, kappa, _ = _forward_batch(mlp, x)
+    mu, kappa, _ = _forward_batch(mlp, x, {})
     assert np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)) < 1e-9
     assert np.all(kappa > 0.0)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(kappa))
@@ -112,11 +112,11 @@ def test_workspace_forward_matches_fresh_forward():
     x_small, x_large = gen.uniform(-1.0, 1.0, size=(37, 6)), gen.uniform(-1.0, 1.0, size=(1024, 6))
     work = {}
     small = _forward_batch(mlp, x_small, work)
-    want_small = _forward_bytes(_forward_batch(mlp, x_small))
+    want_small = _forward_bytes(_forward_batch(mlp, x_small, {}))
     assert _forward_bytes(small) == want_small
     # a second row count gets buffers of its own and leaves the first forward intact
     large = _forward_batch(mlp, x_large, work)
-    assert _forward_bytes(large) == _forward_bytes(_forward_batch(mlp, x_large))
+    assert _forward_bytes(large) == _forward_bytes(_forward_batch(mlp, x_large, {}))
     assert _forward_bytes(small) == want_small
     assert sorted(work) == [(l, n) for l in range(4) for n in (37, 1024)]
     assert all(buf.dtype == np.float64 for buf in work.values())  # float64 input keeps float64 products
@@ -125,7 +125,7 @@ def test_workspace_forward_matches_fresh_forward():
     # the next forward of the same row count reuses, and so overwrites, them
     again = _forward_batch(mlp, x_large[::-1].copy(), work)
     assert again[2][1] is z
-    assert _forward_bytes(again) == _forward_bytes(_forward_batch(mlp, x_large[::-1].copy()))
+    assert _forward_bytes(again) == _forward_bytes(_forward_batch(mlp, x_large[::-1].copy(), {}))
 
 
 def test_float32_forward_matches_float32_reference():
@@ -158,10 +158,10 @@ def test_float32_step_gradient_near_float64():
     x, gt = f.features.reshape(-1, 6), f.gt.data.reshape(-1, 3).astype(np.float64)
     rng = RngState(1000)
     mlp = init_mlp(6, rng=rng)
-    fwd64 = _forward_batch(mlp, x)
+    fwd64 = _forward_batch(mlp, x, {})
     idx = select_pixels(expected_angular_error(fwd64[1]), f.gt.valid.ravel(), SelectionConfig(), rng).all_indices
     g64 = _flatten(_backward_batch(mlp, idx, fwd64, gt[idx]))
-    grads32 = _backward_batch(mlp, idx, _forward_batch(mlp, x.astype(np.float32)), gt[idx])
+    grads32 = _backward_batch(mlp, idx, _forward_batch(mlp, x.astype(np.float32), {}), gt[idx])
     assert all(g.dtype == np.float32 for g in grads32[0] + grads32[1])
     g32 = _flatten(grads32).astype(np.float64)
     assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) < 1e-6
@@ -270,7 +270,7 @@ def test_backward_batch_is_mean_of_singles():
     gen = np.random.default_rng(9)
     x = gen.uniform(-1.0, 1.0, size=(5, 6))
     n_gt = random_unit(gen, 5)
-    batch = _flatten(_backward_batch(mlp, np.arange(5), _forward_batch(mlp, x), n_gt))
+    batch = _flatten(_backward_batch(mlp, np.arange(5), _forward_batch(mlp, x, {}), n_gt))
     singles = np.mean([_flatten(backward(mlp, x[i], n_gt[i])) for i in range(5)], axis=0)
     assert np.allclose(batch, singles, atol=1e-14)
 
@@ -278,7 +278,7 @@ def test_backward_batch_is_mean_of_singles():
 def test_backward_validation():
     mlp = init_mlp(6, hidden_dims=(8,), rng=RngState(10))
     # a non-zero input, so the zero-bias head does not collapse first
-    fwd = _forward_batch(mlp, np.ones((2, 6)))
+    fwd = _forward_batch(mlp, np.ones((2, 6)), {})
     with pytest.raises(ShapeError):
         _backward_batch(mlp, [0, 1], fwd, np.zeros((3, 3)))
 
@@ -292,8 +292,8 @@ def test_backward_rows_of_full_forward_match_fresh_forward():
     for n in (1, 51, 300, 410):
         rows = np.sort(gen.choice(1024, size=n, replace=False))
         n_gt = random_unit(gen, n)
-        sliced = _flatten(_backward_batch(mlp, rows, _forward_batch(mlp, x), n_gt))
-        fresh = _flatten(_backward_batch(mlp, np.arange(n), _forward_batch(mlp, x[rows]), n_gt))
+        sliced = _flatten(_backward_batch(mlp, rows, _forward_batch(mlp, x, {}), n_gt))
+        fresh = _flatten(_backward_batch(mlp, np.arange(n), _forward_batch(mlp, x[rows], {}), n_gt))
         assert np.max(np.abs(sliced - fresh)) <= 1e-12
 
 
@@ -333,7 +333,7 @@ def test_backward_activation_mask_matches_preactivation_mask():
         mlp.biases[l][::5] = 0.0
     gen = np.random.default_rng(32)
     x = gen.uniform(-1.0, 1.0, size=(300, 6))
-    mu, kappa, (acts, z, r) = _forward_batch(mlp, x)
+    mu, kappa, (acts, z, r) = _forward_batch(mlp, x, {})
     ref_acts, pre = _reference_forward(mlp, x)
     for a, b in zip(acts, ref_acts):
         assert a.dtype == np.float64 and np.array_equal(a, b)
@@ -381,11 +381,11 @@ def test_evaluate_matches_normal_map_route():
 
     data = [(f.features.reshape(-1, 6), f.gt.data.reshape(-1, 3).astype(np.float64), f.gt.valid.ravel())
             for f in frames]
-    got, _ = _evaluate(mlp, data, 7)
+    got, _ = _evaluate(mlp, data, 7, {})
 
     total, count, errs = 0.0, 0, []
     for f in frames:
-        mu, kappa, _ = _forward_batch(mlp, f.features.reshape(-1, 6))
+        mu, kappa, _ = _forward_batch(mlp, f.features.reshape(-1, 6), {})
         ok = f.gt.valid.ravel()
         gt = f.gt.data.reshape(-1, 3).astype(np.float64)[ok]
         t = np.clip(np.sum(mu[ok] * gt, axis=1), -1.0, 1.0)
@@ -489,8 +489,8 @@ def test_train_forwards_each_frame_twice_per_epoch(monkeypatch):
     # the features are cast to float32 once, so every product is float32
     calls = []
 
-    def counting(mlp, x, work=None):
-        assert work is not None and x.dtype == np.float32
+    def counting(mlp, x, work):
+        assert x.dtype == np.float32
         calls.append((len(x), work))
         return _forward_batch(mlp, x, work)
 
@@ -525,7 +525,7 @@ def test_train_epoch_matches_sgd_by_hand(batch_size, lr):
         acc_w = [np.zeros_like(w) for w in mlp.weights]
         acc_b = [np.zeros_like(b) for b in mlp.biases]
         for x, gt, valid in batch:
-            fwd = _forward_batch(mlp, x)
+            fwd = _forward_batch(mlp, x, {})
             idx = select_pixels(expected_angular_error(fwd[1]), valid, sel, rng).all_indices
             d_ws, d_bs = _backward_batch(mlp, idx, fwd, gt[idx])
             acc_w = [a + d for a, d in zip(acc_w, d_ws)]
