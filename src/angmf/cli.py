@@ -3,7 +3,8 @@
 Angles cross this boundary in degrees; everything internal is radians.
 Commands that draw random numbers require an explicit --seed so runs are
 reproducible by construction.  Exit codes: 0 success, 2 usage or
-validation error, 3 I/O or format error, 4 numerical failure.
+validation error, 3 I/O or format error, 4 numerical failure; each status
+lives on its error class (``AngmfError.exit_code``).
 """
 
 import argparse
@@ -23,8 +24,6 @@ from .rng import RngState
 from .sampling import sample_angmf, sample_vonmf
 from .sphere import angle_between, normalize
 
-EXIT_USAGE = 2
-EXIT_IO = 3
 # Sample rows per simulate-boundary block (at least one trial each): bounds
 # memory for any --trials, and blocks this size stay in cache
 BOUNDARY_BLOCK_ROWS = 2**15
@@ -54,34 +53,14 @@ def _input_path(text):
     return text
 
 
-def _float_where(ok, requirement):
-    """An argparse type for finite floats that also satisfy ``ok``."""
+def _number_where(cast, ok, requirement):
+    """An argparse type for ``cast(text)`` values that satisfy ``ok``."""
 
     def parse(text):
         try:
-            v = float(text)
+            v = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-        if not (math.isfinite(v) and ok(v)):
-            raise argparse.ArgumentTypeError(f"must be {requirement}: {text!r}")
-        return v
-
-    return parse
-
-
-_finite_float = _float_where(lambda v: True, "finite")
-_nonneg_float = _float_where(lambda v: v >= 0.0, "finite and >= 0")
-_positive_float = _float_where(lambda v: v > 0.0, "finite and > 0")
-
-
-def _int_where(ok, requirement):
-    """An argparse type for integers that also satisfy ``ok``."""
-
-    def parse(text):
-        try:
-            v = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+            raise argparse.ArgumentTypeError(f"{'not a number' if cast is float else 'invalid int value'}: {text!r}")
         if not ok(v):
             raise argparse.ArgumentTypeError(f"must {requirement}: {text!r}")
         return v
@@ -89,8 +68,12 @@ def _int_where(ok, requirement):
     return parse
 
 
-_positive_int = _int_where(lambda v: v >= 1, "be >= 1")
-_seed = _int_where(lambda v: 0 <= v < 1 << 64, "lie in [0, 2**64)")
+# math.isfinite stays out of the int types: it overflows on ints beyond the float range
+_finite_float = _number_where(float, math.isfinite, "be finite")
+_nonneg_float = _number_where(float, lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
+_positive_float = _number_where(float, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+_positive_int = _number_where(int, lambda v: v >= 1, "be >= 1")
+_seed = _number_where(int, lambda v: 0 <= v < 1 << 64, "lie in [0, 2**64)")
 
 
 def _cmd_eval(args):
@@ -99,7 +82,6 @@ def _cmd_eval(args):
     errs = metrics.valid_errors(metrics.angular_errors(pred, gt))
     report = metrics.summarize(errs)
     mapio.write_json(report.to_json_dict(), args.out_json)
-    return 0
 
 
 def _cmd_sparsify(args):
@@ -125,7 +107,6 @@ def _cmd_sparsify(args):
         "ause": metrics.ause(est, orc),
     }
     mapio.write_json(payload, args.out_json)
-    return 0
 
 
 def _cmd_sample(args):
@@ -135,7 +116,6 @@ def _cmd_sample(args):
     else:
         out = sample_vonmf(VonMFParams(mu=args.mu, kappa=args.kappa), args.n, rng)
     mapio.write_vectors_csv(out, args.out_csv)
-    return 0
 
 
 def _cmd_fit(args):
@@ -144,7 +124,7 @@ def _cmd_fit(args):
     if args.estimator == "mean":
         d = mean_direction(samples)
         mapio.write_json({"estimator": "mean", "direction": [float(x) for x in d]}, args.out_json)
-        return 0
+        return
     if args.estimator == "median":
         d, report = spherical_median(samples, tol=args.tol, full_output=True)
         payload = {"estimator": "median", "direction": [float(x) for x in d]}
@@ -163,7 +143,6 @@ def _cmd_fit(args):
         if args.estimator == "mle" and report.params.kappa == KAPPA_CEILING:
             stop = f"stopped at the kappa ceiling {KAPPA_CEILING}"
         raise NumericalError(f"{args.estimator} {stop} after {report.iterations} iterations")
-    return 0
 
 
 def _degrees(x):
@@ -178,7 +157,6 @@ def _cmd_expected_error(args):
     else:
         for v in values:
             print(v)
-    return 0
 
 
 def _cmd_select_pixels(args):
@@ -187,7 +165,6 @@ def _cmd_select_pixels(args):
     cfg = SelectionConfig(r_s=args.rs, beta_ug=args.beta)
     sel = select_pixels(unc, kmap.valid, cfg, RngState(args.seed))
     mapio.write_selection_csv(sel, args.out_csv)
-    return 0
 
 
 def _cmd_simulate_boundary(args):
@@ -219,7 +196,6 @@ def _cmd_simulate_boundary(args):
         "median_error_deg_avg": float(np.mean(err_median)),
     }
     mapio.write_json(payload, args.out_json)
-    return 0
 
 
 def _demo_plane_normals(count, separation_deg):
@@ -256,7 +232,6 @@ def _cmd_refine_demo(args):
         mapio.write_epoch_csv(stats, args.out_csv)
     last = stats[-1]
     print(f"epoch {last.epoch}: mean {last.report.mean_deg:.3f} deg, nll {last.nll:.6f}")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,7 +242,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[\d.]")  # "-1,0,0" and "-.5,0,1" are values, not options
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(AngmfError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
@@ -321,7 +296,7 @@ def build_parser():
     q = sub.add_parser("simulate-boundary", help="mean vs median on boundary mixtures")
     q.add_argument("--separation-deg", default=60.0, type=_finite_float)
     q.add_argument("--contamination", default=0.2, type=float)
-    q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
+    q.add_argument("--jitter-kappa", default=50.0, type=_positive_float)
     q.add_argument("--samples", default=1000, type=_positive_int)
     q.add_argument("--trials", default=100, type=_positive_int)
     q.add_argument("--seed", required=True, type=_seed)
@@ -334,7 +309,7 @@ def build_parser():
     q.add_argument("--planes", default=3, type=_positive_int)
     q.add_argument("--frames", default=6, type=int)
     q.add_argument("--separation-deg", default=60.0, type=_finite_float)
-    q.add_argument("--jitter-kappa", default=50.0, type=_nonneg_float)
+    q.add_argument("--jitter-kappa", default=50.0, type=_positive_float)
     q.add_argument("--contamination", default=0.2, type=float)
     q.add_argument("--epochs", default=12, type=int)
     q.add_argument("--batch-size", default=1, type=int)
@@ -353,10 +328,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (AngmfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code if isinstance(e, AngmfError) else EXIT_IO
+        return e.exit_code if isinstance(e, AngmfError) else FormatError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

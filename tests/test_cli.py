@@ -267,7 +267,7 @@ def test_sample_fuzz_exits_documented_codes(tmp_path, capsys, mu, flags, seed):
         assert np.all(np.abs(np.sqrt(np.sum(rows * rows, axis=1)) - 1.0) < 1e-12)
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70), str(10**400)])
 @pytest.mark.parametrize("command", [
     ["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--out-csv", "s.csv"],
     ["select-pixels", "--kappa-map", "k.map", "--out-csv", "sel.csv"],

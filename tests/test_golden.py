@@ -149,6 +149,8 @@ ERRORS = {
                               "angmf sample: error: argument --kappa: must be finite and >= 0: '-1'"),
     "sample-kappa-nan": (SAMPLE + ["--kappa", "nan", "--seed", "1"], 2,
                          "angmf sample: error: argument --kappa: must be finite and >= 0: 'nan'"),
+    "sample-out-dir-missing": (SAMPLE[:-1] + ["nodir/s.csv", "--seed", "1"], 3,
+                               "error: [Errno 2] No such file or directory: 'nodir/s.csv'"),
     "sample-n-negative": (SAMPLE + ["--n", "-1", "--seed", "1"], 2, "error: cannot draw -1 samples"),
     "sample-vonmf-n-negative": (SAMPLE + ["--dist", "vonmf", "--n", "-2", "--seed", "1"], 2,
                                 "error: cannot draw -2 samples"),
@@ -170,6 +172,12 @@ ERRORS = {
                            "error: sample directions cancel out"),
     "fit-mle-kappa-ceiling": (["fit", "--samples-csv", "tiny.csv", "--estimator", "mle"], 4,
                               "error: mle stopped at the kappa ceiling 1000000.0 after 1 iterations"),
+    "expected-error-kappa-negative": (["expected-error", "--kappa", "1", "-1"], 2,
+                                      "angmf expected-error: error: argument --kappa: must be finite and >= 0: '-1'"),
+    "expected-error-kappa-word": (["expected-error", "--kappa", "x"], 2,
+                                  "angmf expected-error: error: argument --kappa: not a number: 'x'"),
+    "expected-error-out-dir-missing": (["expected-error", "--kappa", "1", "--out-json", "nodir/e.json"], 3,
+                                       "error: [Errno 2] No such file or directory: 'nodir/e.json'"),
     "eval-bad-magic": (["eval", "--pred", "magic.map", "--gt", "n.map"], 3,
                        "error: magic.map: bad magic b'SNMP2', expected b'SNMP1' (byte offset 0)"),
     "eval-short-header": (["eval", "--pred", "n.map", "--gt", "short.map"], 3,
@@ -194,7 +202,12 @@ ERRORS = {
     "simulate-contamination": (SIMULATE + ["--contamination", "0.5", "--seed", "1"], 2,
                                "error: contamination must lie in [0, 0.5), got 0.5"),
     "simulate-jitter-zero": (SIMULATE + ["--jitter-kappa", "0", "--seed", "1"], 2,
-                             "error: jitter_kappa must be finite and > 0, got 0.0"),
+                             "angmf simulate-boundary: error: argument --jitter-kappa: must be finite and > 0: '0'"),
+    "simulate-jitter-negative": (SIMULATE + ["--jitter-kappa", "-1", "--seed", "1"], 2,
+                                 "angmf simulate-boundary: error: argument --jitter-kappa: must be finite and > 0: "
+                                 "'-1'"),
+    "simulate-separation-inf": (SIMULATE + ["--separation-deg", "inf", "--seed", "1"], 2,
+                                "angmf simulate-boundary: error: argument --separation-deg: must be finite: 'inf'"),
     "simulate-trials-zero": (["simulate-boundary", "--trials", "0", "--seed", "1"], 2,
                              "angmf simulate-boundary: error: argument --trials: must be >= 1: '0'"),
     "simulate-trials-word": (["simulate-boundary", "--trials", "x", "--seed", "1"], 2,
@@ -205,7 +218,9 @@ ERRORS = {
     "refine-contamination": (REFINE + ["--contamination", "0.5", "--seed", "0"], 2,
                              "error: contamination must lie in [0, 0.5), got 0.5"),
     "refine-jitter-zero": (REFINE + ["--jitter-kappa", "0", "--seed", "0"], 2,
-                           "error: jitter_kappa must be finite and > 0, got 0.0"),
+                           "angmf refine-demo: error: argument --jitter-kappa: must be finite and > 0: '0'"),
+    "refine-jitter-negative": (REFINE + ["--jitter-kappa", "-1", "--seed", "0"], 2,
+                               "angmf refine-demo: error: argument --jitter-kappa: must be finite and > 0: '-1'"),
     "refine-width-zero": (REFINE + ["--width", "0", "--seed", "0"], 2, "error: frame must be at least 1x1, got 0x8"),
     "refine-planes-too-many": (REFINE + ["--planes", "9", "--seed", "0"], 2, "error: 9 planes do not fit in width 8"),
     "refine-planes-fraction": (REFINE + ["--planes", "1.5", "--seed", "0"], 2,
