@@ -8,6 +8,7 @@ lives on its error class (``AngmfError.exit_code``).
 """
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -161,9 +162,11 @@ def _cmd_expected_error(args):
 
 def _cmd_select_pixels(args):
     kmap = mapio.read_kappa_map(args.kappa_map)
-    unc = expected_angular_error(np.nan_to_num(kmap.data))  # read at valid pixels only
+    valid = kmap.valid
+    unc = np.zeros(valid.shape)  # select_pixels reads it at valid pixels only
+    unc[valid] = expected_angular_error(kmap.data[valid])
     cfg = SelectionConfig(r_s=args.rs, beta_ug=args.beta)
-    sel = select_pixels(unc, kmap.valid, cfg, RngState(args.seed))
+    sel = select_pixels(unc, valid, cfg, RngState(args.seed))
     mapio.write_selection_csv(sel, args.out_csv)
 
 
@@ -245,7 +248,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(AngmfError.exit_code, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process: ``main`` reuses it, so callers must not change it."""
     p = _Parser(prog="angmf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -67,8 +67,8 @@ def select_pixels(uncertainty, valid, config, rng):
     t = np.partition(vals, n_valid - n_importance)[n_valid - n_importance] if n_importance else np.inf
     take = vals > t
     take[np.flatnonzero(vals == t)[:n_importance - int(take.sum())]] = True
-    importance = candidates[take]
-    pool = candidates[~take]
+    importance = np.compress(take, candidates)  # compress: a branch-free gather, unlike a boolean index
+    pool = np.compress(~take, candidates)
 
     # partial Fisher-Yates; one uniform block equals n_coverage scalar draws.
     # uniform() <= 1 - 2**-53, so u * m rounds below m and j stays inside the pool

@@ -31,6 +31,8 @@ NEWTON_STEPS = 4
 # there and [40/kappa, pi] is its last cell.
 _TABLE_TAIL = 40.0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# The most draws one sampler call takes: its (count, 3) float64 output alone is 96 GiB
+MAX_COUNT = 2**32
 
 
 def invert_error_cdf(kappa, u):
@@ -88,7 +90,7 @@ def invert_error_cdf(kappa, u):
 
 def _check_count(count):
     count = int(count)
-    if count < 0:
+    if not 0 <= count <= MAX_COUNT:
         raise DomainError(f"cannot draw {count} samples")
     return count
 

@@ -531,6 +531,26 @@ def test_select_pixels_importance_is_top_uncertainty(tmp_path):
     assert got == list(range(10))
 
 
+def test_main_builds_one_parser_per_process(tmp_path):
+    pred, gt = write_pair(tmp_path, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0], (2, 3))
+    kappa = np.random.default_rng(29).uniform(0.5, 400.0, size=(2, 3))  # across 700/pi, where E[alpha]'s exp clamps
+    kappa[0, 1] = np.nan
+    kpath = str(tmp_path / "k.skmp")
+    mapio.write_kappa_map(KappaMap(kappa), kpath)
+    select = ["select-pixels", "--kappa-map", kpath, "--rs", "1", "--beta", "0.5", "--seed", "4", "--out-csv"]
+    cli.build_parser.cache_clear()
+    assert main(select + [str(tmp_path / "a.csv")]) == 0
+    assert main(["sparsify", "--pred", pred, "--gt", gt, "--kappa", kpath, "--out-json", str(tmp_path / "s.json")]) == 0
+    with pytest.raises(SystemExit) as ei:
+        main(["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--seed", "-1", "--out-csv", str(tmp_path / "x.csv")])
+    assert ei.value.code == 2
+    assert main(select + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_text().count("\n") == 1 + 5  # the header and every valid pixel
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 # ------------------------------------------------- map inputs, fuzzed
 
 

@@ -375,6 +375,60 @@ def test_expected_error_blocks_match_one_pass(n, dtype):
         assert str(got.value) == str(want.value)
 
 
+def _unclamped_cdf_pdf_nll_e(k, a):
+    """The error cdf and pdf, the nll and E[alpha] with an unclamped exp(-pi k), in the module's operation order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(-np.pi * k)
+        e, s, c = np.exp(-k * a), np.sin(a), np.cos(a)
+        cdf = np.where(a == np.pi, 1.0, np.clip((1.0 - e * (c + k * s)) / (1.0 + z), 0.0, 1.0))
+        pdf = ((k * s) * (k * e) + e * s) / (1.0 + z)
+        big = k > distributions._K2_FINITE
+        log_norm = np.where(big, 2.0 * np.log(np.maximum(k, 1.0)), np.log1p(k * k))
+        nll = -log_norm + np.log1p(z) + k * a
+        mean = np.where(big, 2.0 / np.maximum(k, 1.0), 2.0 * k / (k * k + 1.0) + np.pi * (z / (1.0 + z)))
+    return cdf, pdf, nll, mean
+
+
+# kappas across 700/pi, where the clamp starts, through the band where
+# e^-pi k is subnormal (225.5 to 237.2), up to _K2_FINITE and past it
+CLAMP_KAPPAS = np.concatenate([
+    700.0 / np.pi + np.array([-1e-9, -1e-12, -3e-14, 0.0, 3e-14, 1e-12, 1e-9]),  # 3e-14 is about one ulp there
+    np.linspace(200.0, 260.0, 601), np.linspace(225.5, 237.2, 400), np.geomspace(1e3, distributions._K2_FINITE, 300),
+    [0.0, 5e-324, 1.0, 50.0, np.nextafter(distributions._K2_FINITE, np.inf), 1e200, np.finfo(float).max],
+])
+CLAMP_ALPHAS = np.array([0.0, 1e-300, 1e-8, 0.5, np.pi / 2.0, np.pi - 1e-8, np.pi])[:, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_exp_clamp_moves_no_bit(dtype):
+    if dtype is np.int64:  # integer kappas up to 2**62 on the same grid
+        k = np.unique(np.minimum(np.round(CLAMP_KAPPAS), 2.0**62)).astype(np.int64)
+    else:
+        k = CLAMP_KAPPAS[CLAMP_KAPPAS <= np.finfo(dtype).max].astype(dtype)
+    k64 = k.astype(np.float64)
+    cdf, pdf, _, mean = _unclamped_cdf_pdf_nll_e(k64, CLAMP_ALPHAS)
+    assert _bits(expected_angular_error(k)) == _bits(mean)
+    assert _bits(angmf_error_cdf(k, CLAMP_ALPHAS)) == _bits(cdf)
+    assert _bits(angmf_error_pdf(k, CLAMP_ALPHAS)) == _bits(pdf)
+    # the nll takes float kappas as they come, in their own precision
+    if dtype is not np.int64:
+        assert _bits(angmf_nll_at(k, CLAMP_ALPHAS)) == _bits(_unclamped_cdf_pdf_nll_e(k, CLAMP_ALPHAS)[2])
+    for one in (k[0], k[-1], float(k64[len(k) // 2])):  # scalars come back as Python floats
+        assert _bits(expected_angular_error(one)) == _bits(float(_unclamped_cdf_pdf_nll_e(float(one), 0.0)[3]))
+    empty = k[:0]
+    assert _bits(expected_angular_error(empty)) == _bits(np.empty(0))
+    assert angmf_error_cdf(empty, 0.5).shape == angmf_error_pdf(empty, 0.5).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_kappa_domain_message(bad):
+    k = np.array([1.0, 300.0, bad])
+    for f in (expected_angular_error, lambda k: angmf_error_cdf(k, 0.5), lambda k: angmf_error_pdf(k, 0.5)):
+        for kappa in (k, bad):
+            with pytest.raises(DomainError, match=r"^kappa must be finite and >= 0$"):
+                f(kappa)
+
+
 # ------------------------------------------------------------- properties
 
 MAX_FLOAT = float(np.finfo(float).max)

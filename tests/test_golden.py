@@ -154,6 +154,11 @@ ERRORS = {
     "sample-n-negative": (SAMPLE + ["--n", "-1", "--seed", "1"], 2, "error: cannot draw -1 samples"),
     "sample-vonmf-n-negative": (SAMPLE + ["--dist", "vonmf", "--n", "-2", "--seed", "1"], 2,
                                 "error: cannot draw -2 samples"),
+    # past sampling.MAX_COUNT: numpy could not index or allocate the draws
+    "sample-n-past-index": (SAMPLE + ["--n", "100000000000000000000", "--seed", "1"], 2,
+                            "error: cannot draw 100000000000000000000 samples"),
+    "sample-n-past-memory": (SAMPLE + ["--n", "10000000000000", "--seed", "1"], 2,
+                             "error: cannot draw 10000000000000 samples"),
     "fit-missing-file": (["fit", "--samples-csv", "nope.csv"], 2,
                          "angmf fit: error: argument --samples-csv: no such file: 'nope.csv'"),
     "fit-tol-zero": (["fit", "--samples-csv", "pair.csv", "--tol", "0"], 2,
