@@ -24,7 +24,6 @@ from .errors import (
     DegenerateResultant,
     DegenerateVector,
     DomainError,
-    EmptyBatch,
     EmptyInput,
     FormatError,
     NormalizationError,

@@ -161,11 +161,11 @@ def _cmd_expected_error(args):
 
 
 def _cmd_select_pixels(args):
+    cfg = SelectionConfig(r_s=args.rs, beta_ug=args.beta)  # flag errors before the map is read
     kmap = mapio.read_kappa_map(args.kappa_map)
     valid = kmap.valid
     unc = np.zeros(valid.shape)  # select_pixels reads it at valid pixels only
     unc[valid] = expected_angular_error(kmap.data[valid])
-    cfg = SelectionConfig(r_s=args.rs, beta_ug=args.beta)
     sel = select_pixels(unc, valid, cfg, RngState(args.seed))
     mapio.write_selection_csv(sel, args.out_csv)
 
@@ -207,6 +207,15 @@ def _demo_plane_normals(count, separation_deg):
 
 
 def _cmd_refine_demo(args):
+    cfg = refine.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        r_s=args.rs,
+        beta_ug=args.beta,
+        seed=args.seed,
+    )
+    synth._check_frame(args.width, args.height, args.planes)  # every flag error before any frame or np.arange
     rng = RngState(args.seed, stream=1)  # frame stream; training uses the root stream
     plane_normals = _demo_plane_normals(args.planes, args.separation_deg)
     frames = [
@@ -220,14 +229,6 @@ def _cmd_refine_demo(args):
         )
         for _ in range(args.frames)
     ]
-    cfg = refine.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        r_s=args.rs,
-        beta_ug=args.beta,
-        seed=args.seed,
-    )
     mlp, stats = refine.train(frames, cfg)
     if args.out_weights:
         mapio.save_weights(mlp, args.out_weights)

@@ -19,12 +19,8 @@ class DomainError(AngmfError):
         self.index = index
 
 
-class EmptyBatch(AngmfError):
-    """A batch reduction was requested over zero valid entries."""
-
-
 class EmptyInput(AngmfError):
-    """A metric was requested over an empty sample set."""
+    """A reduction (a metric, a fit, a training run) was requested over zero entries."""
 
 
 class ShapeError(AngmfError):

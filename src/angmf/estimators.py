@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .distributions import AngMFParams, angmf_nll_at, expected_angular_error
-from .errors import DegenerateResultant, DomainError, EmptyBatch, ShapeError
+from .errors import DegenerateResultant, DomainError, EmptyInput, ShapeError
 from .sphere import dot3, log_map, normalize, tangent_basis
 
 __all__ = [
@@ -34,7 +34,7 @@ def _as_samples(samples):
     if s.ndim not in (2, 3) or s.shape[-1] != 3:
         raise ShapeError(f"expected samples of shape (N, 3) or (T, N, 3), got {s.shape}")
     if s.size == 0:
-        raise EmptyBatch("no samples")
+        raise EmptyInput("no samples")
     if not np.isfinite(s).all():
         i = int(np.argmin(np.isfinite(s).ravel())) // 3  # the first bad row, counted over the whole stack
         where = f"{i}" if s.ndim == 2 else f"{i % s.shape[1]} of set {i // s.shape[1]}"

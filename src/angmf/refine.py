@@ -31,8 +31,8 @@ products.  A run keeps one workspace of layer outputs in that dtype, one
 buffer per (layer, rows), and every forward writes its matrix products
 into it.  A forward's layer activations and raw head output alias those
 buffers and stay valid only until the next forward of as many rows, so
-each backward runs before the next forward.  The single-pixel ``forward``
-and ``backward`` run in float64, each on a workspace of its own.
+each backward runs before the next forward.  The public :func:`forward`
+predicts (mu, kappa) for a batch of pixels on a workspace of its own.
 
 Weight initialization draws from the run's RngState: for each layer in
 order, the weight matrix is filled row-major with uniform values in
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AngMFParams, angmf_grad_rows, angmf_nll_rows, expected_angular_error
-from .errors import DomainError, EmptyBatch, NormalizationError, NumericalError, ShapeError
+from .distributions import angmf_grad_rows, angmf_nll_rows, expected_angular_error
+from .errors import DomainError, EmptyInput, NormalizationError, NumericalError, ShapeError
 from .metrics import MetricsReport, summarize
 from .pixel_select import SelectionConfig, select_pixels
 from .rng import RngState
@@ -60,7 +60,6 @@ __all__ = [
     "modified_elu_grad",
     "init_mlp",
     "forward",
-    "backward",
     "train",
 ]
 
@@ -90,10 +89,8 @@ class RefineMLP:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
 
-def init_mlp(in_dim, hidden_dims=(128, 128, 128), rng=None):
-    """Seeded uniform +-1/sqrt(fan_in) init; see the module docstring for draw order."""
-    if rng is None:
-        rng = RngState(0)
+def init_mlp(in_dim, rng, hidden_dims=(128, 128, 128)):
+    """Seeded uniform +-1/sqrt(fan_in) init from ``rng``; see the module docstring for draw order."""
     dims = (int(in_dim),) + tuple(int(d) for d in hidden_dims) + (4,)
     if any(d < 1 for d in dims):
         raise DomainError(f"layer widths must be >= 1, got {dims}")
@@ -139,10 +136,9 @@ def _forward_batch(mlp, x, work):
     return mu, kappa, (acts, z, r)
 
 
-def forward(mlp, feature):
-    """Per-pixel prediction as AngMFParams."""
-    mu, kappa, _ = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :], {})
-    return AngMFParams(mu=mu[0], kappa=float(kappa[0]))
+def forward(mlp, features):
+    """(mu, kappa), shapes (N, 3) and (N,), of an (N, in_dim) feature batch; products in the features' dtype."""
+    return _forward_batch(mlp, features, {})[:2]
 
 
 def _head_gradients(n_gt, r, mu, kappa, z3):
@@ -160,9 +156,6 @@ def _head_gradients(n_gt, r, mu, kappa, z3):
 def _backward_batch(mlp, rows, fwd, n_gt):
     """Mean-nll gradients (dWs, dbs) over the non-empty ``rows`` of ``fwd = _forward_batch(mlp, x, work)``."""
     mu, kappa, (acts, z, r) = fwd
-    n_gt = np.asarray(n_gt, dtype=np.float64)
-    if n_gt.shape != (len(rows), 3):
-        raise ShapeError(f"expected ({len(rows)}, 3) targets, got {n_gt.shape}")
     delta = _head_gradients(n_gt, r[rows], mu[rows], kappa[rows], z[rows, 3]) / len(rows)
 
     dtype = acts[0].dtype  # the forward's product dtype; the head above is float64
@@ -176,12 +169,6 @@ def _backward_batch(mlp, rows, fwd, n_gt):
         if l > 0:  # a ReLU output is > 0 exactly where its pre-activation is
             delta = (delta @ mlp.weights[l].astype(dtype, copy=False)) * (a > 0.0)
     return d_ws, d_bs
-
-
-def backward(mlp, feature, n_gt):
-    """Single-pixel nll gradients in every weight and bias."""
-    fwd = _forward_batch(mlp, np.asarray(feature, dtype=np.float64)[None, :], {})
-    return _backward_batch(mlp, [0], fwd, np.asarray(n_gt, dtype=np.float64)[None, :])
 
 
 @dataclass(frozen=True)
@@ -247,9 +234,9 @@ def train(frames, config):
     """
     frames = list(frames)
     if not frames:
-        raise EmptyBatch("no training frames")
+        raise EmptyInput("no training frames")
     rng = RngState(config.seed)
-    mlp = init_mlp(frames[0].features.shape[-1], rng=rng)
+    mlp = init_mlp(frames[0].features.shape[-1], rng)
     params = mlp.weights + mlp.biases  # updated in place; nothing else holds these arrays
     sel_cfg = SelectionConfig(r_s=config.r_s, beta_ug=config.beta_ug)
     # float32 features make every product float32; dot3 and log_map widen the float32 gt exactly

@@ -3,8 +3,9 @@
 Every randomized routine in this package draws from :class:`RngState`, a
 tiny counter-based generator built on the splitmix64 finalizer.  Output i
 of a stream is a pure function of (seed, stream, i), so runs are bit
-reproducible across platforms and processes, substreams never overlap by
-construction, and the whole state is two integers.
+reproducible across platforms and processes, the streams
+``RngState(seed, stream=s)`` of a seed never overlap by construction, and
+the whole state is two integers.
 
 Algorithm, with all arithmetic mod 2**64:
 
@@ -65,10 +66,6 @@ class RngState:
         self.stream = int(self.stream) & _MASK
         self.counter = int(self.counter)
         self._key = _mix(self.seed ^ _mix((self.stream + 1) & _MASK))
-
-    def spawn(self, stream):
-        """Fresh substream of the same seed; disjoint from every other stream."""
-        return RngState(self.seed, stream=stream)
 
     def next_u64(self):
         self.counter += 1

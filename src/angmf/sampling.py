@@ -3,7 +3,7 @@
 Each sample costs one radial uniform and one azimuth uniform.  Draw order
 is part of the determinism contract: a call first consumes ``count``
 radial draws, then ``count`` azimuth draws, from the supplied
-:class:`RngState`.
+:class:`~angmf.rng.RngState`.
 
 The AngMF radial angle comes from numerically inverting its closed-form
 cdf (:func:`invert_error_cdf`): one table of the cdf per call brackets
@@ -20,10 +20,9 @@ import numpy as np
 
 from .distributions import _error_cdf_pdf, angmf_error_cdf
 from .errors import DomainError
-from .rng import RngState
 from .sphere import tangent_basis
 
-__all__ = ["RngState", "invert_error_cdf", "draw_angmf", "sample_angmf", "sample_vonmf"]
+__all__ = ["invert_error_cdf", "draw_angmf", "sample_angmf", "sample_vonmf"]
 
 TABLE_CELLS = 2048
 NEWTON_STEPS = 4

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
-from .sampling import _check_count, draw_angmf
+from .sampling import MAX_COUNT, _check_count, draw_angmf
 from .sphere import as_unit
 
 __all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
@@ -74,17 +74,9 @@ def _check_corruption(contamination, jitter_kappa):
 
 @dataclass(frozen=True)
 class SyntheticFrame:
-    gt: NormalMap
+    gt: NormalMap  # the frame's size is gt.height x gt.width
     features: np.ndarray  # (H, W, FEATURE_DIM) float64
     boundary_mask: np.ndarray  # (H, W) bool
-
-    @property
-    def height(self):
-        return self.gt.height
-
-    @property
-    def width(self):
-        return self.gt.width
 
 
 def sample_boundary_pixels(scene, rng, count, trials=None):
@@ -102,6 +94,16 @@ def sample_boundary_pixels(scene, rng, count, trials=None):
     return out[0] if trials is None else out
 
 
+def _check_frame(width, height, n_planes):
+    """Reject, before any allocation, a frame ``make_frame`` cannot build; its draws cap it at MAX_COUNT pixels."""
+    if width < 1 or height < 1:
+        raise DomainError(f"frame must be at least 1x1, got {width}x{height}")
+    if width * height > MAX_COUNT:
+        raise DomainError(f"frame {width}x{height} has more than {MAX_COUNT} pixels")
+    if n_planes < 1 or n_planes > width:
+        raise DomainError(f"{n_planes} planes do not fit in width {width}")
+
+
 def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
                contamination=0.0, noise_amp=0.05):
     """Build a SyntheticFrame of vertical plane strips.
@@ -113,12 +115,9 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
     disables jitter entirely (exact plane normals).
     """
     width, height = int(width), int(height)
-    if width < 1 or height < 1:
-        raise DomainError(f"frame must be at least 1x1, got {width}x{height}")
     plane_normals = list(plane_normals)
     n_planes = len(plane_normals)
-    if n_planes < 1 or n_planes > width:
-        raise DomainError(f"{n_planes} planes do not fit in width {width}")
+    _check_frame(width, height, n_planes)
     normals = np.stack([as_unit(n) for n in plane_normals])
     _check_corruption(contamination, 1.0 if jitter_kappa is None else jitter_kappa)  # None: no jitter
 

@@ -20,6 +20,7 @@ from angmf.distributions import (
     angmf_error_pdf,
     angmf_nll,
     angmf_nll_grad,
+    angmf_nll_rows,
     angmf_pdf,
     expected_angular_error,
     vonmf_nll,
@@ -37,7 +38,7 @@ from angmf.mapio import (
 )
 from angmf.metrics import angular_errors, ausc, ause, oracle_curve, sparsification, summarize
 from angmf.pixel_select import SelectionConfig, select_pixels
-from angmf.refine import TrainConfig, _forward_batch, backward, forward, init_mlp, train
+from angmf.refine import TrainConfig, _backward_batch, _forward_batch, forward, init_mlp, train
 from angmf.sampling import sample_angmf
 from angmf.sphere import angle_between, normalize, tangent_basis
 from angmf.synth import TwoPlaneScene, sample_boundary_pixels
@@ -157,12 +158,12 @@ def _mlp_fd_worst(n_cases, seed):
     for case in range(n_cases):
         mlp = init_mlp(4, hidden_dims=(8,), rng=RngState(9000 + case))
         x = gen.uniform(-1.0, 1.0, size=4)
-        mu0 = forward(mlp, x).mu
+        mu0 = forward(mlp, x[None])[0][0]
         while True:
             n_gt = random_unit(gen)
             if abs(np.dot(n_gt, mu0)) < 0.995:
                 break
-        d_ws, d_bs = backward(mlp, x, n_gt)
+        d_ws, d_bs = _backward_batch(mlp, [0], _forward_batch(mlp, x[None], {}), n_gt[None])
         analytic = np.concatenate([g.ravel() for g in d_ws] + [g.ravel() for g in d_bs])
         fd = np.empty_like(analytic)
         i = 0
@@ -172,9 +173,9 @@ def _mlp_fd_worst(n_cases, seed):
                 for j in range(flat.size):
                     orig = flat[j]
                     flat[j] = orig + 1e-5
-                    up = angmf_nll(forward(mlp, x), n_gt)
+                    up = float(angmf_nll_rows(*forward(mlp, x[None]), n_gt)[0])
                     flat[j] = orig - 1e-5
-                    dn = angmf_nll(forward(mlp, x), n_gt)
+                    dn = float(angmf_nll_rows(*forward(mlp, x[None]), n_gt)[0])
                     flat[j] = orig
                     fd[i] = (up - dn) / 2e-5
                     i += 1
@@ -341,11 +342,11 @@ def _training_frames(seed, n_frames, width, height, n_planes, contamination):
 
 def _frame_eval(mlp, frame):
     x = frame.features.reshape(-1, frame.features.shape[-1])
-    mu, kappa, _ = _forward_batch(mlp, x, {})
-    pred = NormalMap.from_vectors(mu.reshape(frame.height, frame.width, 3),
+    mu, kappa = forward(mlp, x)
+    pred = NormalMap.from_vectors(mu.reshape(frame.gt.height, frame.gt.width, 3),
                                   valid=frame.gt.valid)
     err = angular_errors(pred, frame.gt)
-    return err, kappa.reshape(frame.height, frame.width)
+    return err, kappa.reshape(frame.gt.height, frame.gt.width)
 
 
 def _boundary_error(mlp, frames):

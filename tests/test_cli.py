@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from angmf import cli, mapio, metrics
+from angmf import cli, mapio, metrics, synth
 from angmf.cli import main
 from angmf.distributions import expected_angular_error
 from angmf.estimators import mean_direction
@@ -819,14 +819,36 @@ def test_refine_demo_bad_planes_and_collapsed_kappa(argv, code, message, capsys)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--rs", "2"], "r_s must lie in (0, 1], got 2.0"),
+    (["--beta", "2"], "beta_ug must lie in [0, 1], got 2.0"),
+    (["--epochs", "0"], "epochs and batch_size must be >= 1"),
+    (["--batch-size", "0"], "epochs and batch_size must be >= 1"),
+    (["--lr", "-1"], "learning_rate must be >= 0, got -1.0"),
+])
+def test_refine_demo_flag_errors_come_before_any_frame(monkeypatch, capsys, argv, message):
+    calls = []
+    make_frame = synth.make_frame
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_frame(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "make_frame", counting)
+    assert main(["refine-demo", "--width", "8", "--height", "8", "--seed", "0"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
 # numeric flag values as given on the command line: in and out of range, special and malformed; the run
-# stays at most 8x8, 3 frames and 2 epochs
+# stays at most 8x8, 3 frames and 2 epochs, and a size past sampling.MAX_COUNT is rejected before any allocation
+HUGE = "1000000000000000000000000000000"
 REFINE_FLAGS = {
-    "--width": st.sampled_from(["8", "5", "1", "0", "-3"]),
-    "--height": st.sampled_from(["8", "3", "1", "0", "-1"]),
+    "--width": st.sampled_from(["8", "5", "1", "0", "-3", HUGE]),
+    "--height": st.sampled_from(["8", "3", "1", "0", "-1", HUGE]),
     "--frames": st.sampled_from(["1", "2", "3", "0", "-1"]),
     "--epochs": st.sampled_from(["1", "2", "0", "-1"]),
-    "--planes": st.sampled_from(["1", "2", "3", "9", "0", "-2", "1.5", "x"]),
+    "--planes": st.sampled_from(["1", "2", "3", "9", "0", "-2", "1.5", "x", HUGE]),
     "--batch-size": st.sampled_from(["1", "2", "3", "100", "0", "-1", "x"]),
     "--lr": st.sampled_from(["1e-2", "0", "-0.0", "5e-324", "1", "1e9", "1e300", "1e308", "-1e-3", "nan", "inf",
                              "x"]),

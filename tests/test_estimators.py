@@ -16,7 +16,7 @@ from angmf import (
     spherical_median,
 )
 from angmf.distributions import expected_angular_error
-from angmf.errors import DegenerateResultant, DomainError, EmptyBatch, ShapeError
+from angmf.errors import DegenerateResultant, DomainError, EmptyInput, ShapeError
 from angmf.sphere import angle_between, log_map, normalize
 
 from conftest import random_rotation, random_unit, reference_median
@@ -28,9 +28,8 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 def contaminated_cloud(seed, n=400, frac=0.2, kappa=20.0):
     """AngMF cloud around +z with a coherent off-axis contamination blob."""
-    rng = RngState(seed)
-    main = sample_angmf(AngMFParams(EZ, kappa), n - int(frac * n), rng.spawn(1))
-    off = sample_angmf(AngMFParams(normalize([1.0, 0.0, 0.2]), kappa), int(frac * n), rng.spawn(2))
+    main = sample_angmf(AngMFParams(EZ, kappa), n - int(frac * n), RngState(seed, stream=1))
+    off = sample_angmf(AngMFParams(normalize([1.0, 0.0, 0.2]), kappa), int(frac * n), RngState(seed, stream=2))
     return np.vstack([main, off])
 
 
@@ -52,7 +51,7 @@ def test_mean_direction_antipodal_raises():
 
 
 def test_mean_direction_validation():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(EmptyInput):
         mean_direction(np.zeros((0, 3)))
     with pytest.raises(ShapeError):
         mean_direction(np.zeros((4, 2)))
@@ -174,7 +173,7 @@ def test_median_default_returns_direction_only():
 
 
 def test_median_validation():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(EmptyInput):
         spherical_median(np.zeros((0, 3)))
     with pytest.raises(ShapeError):
         spherical_median(np.zeros((3, 4)))
@@ -265,7 +264,7 @@ def test_mean_direction_stack_matches_each_set():
 
 
 def test_stack_validation():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(EmptyInput):
         spherical_median(np.zeros((2, 0, 3)))
     with pytest.raises(ShapeError):
         mean_direction(np.zeros((2, 2, 2, 3)))
@@ -421,7 +420,7 @@ def test_median_and_mle_converge_on_seeded_sweep():
 
 
 def test_mle_validation():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(EmptyInput):
         fit_angmf_mle(np.zeros((0, 3)))
     with pytest.raises(ShapeError):
         fit_angmf_mle(np.zeros((5, 2)))

@@ -129,6 +129,8 @@ SAMPLE = ["sample", "--mu", "0,0,1", "--kappa", "1", "--n", "3", "--out-csv", "o
 SELECT = ["select-pixels", "--kappa-map", "k.map", "--out-csv", "o.csv"]
 SIMULATE = ["simulate-boundary", "--trials", "2", "--samples", "10"]
 REFINE = ["refine-demo", "--width", "8", "--height", "8", "--frames", "2", "--epochs", "2"]
+# past sampling.MAX_COUNT pixels or planes: rejected before any frame array is allocated
+HUGE = "1000000000000000000000000000000"
 # name: (argv, exit code, the whole of stderr but its newline), run where ERROR_FILES were written
 ERRORS = {
     "sample-seed-word": (SAMPLE + ["--seed", "abc"], 2,
@@ -200,6 +202,9 @@ ERRORS = {
     "sparsify-kappa-negative": (["sparsify", "--pred", "n.map", "--gt", "n.map", "--kappa", "kneg.map"], 3,
                                 "error: kneg.map: pixel 1 has kappa -2.0 (byte offset 17)"),
     "select-pixels-rs": (SELECT + ["--rs", "2", "--seed", "1"], 2, "error: r_s must lie in (0, 1], got 2.0"),
+    # the flag is checked before the map is read, so a CSV given as the map is not reached
+    "select-pixels-rs-csv-map": (["select-pixels", "--kappa-map", "pair.csv", "--out-csv", "o.csv", "--rs", "2",
+                                  "--seed", "1"], 2, "error: r_s must lie in (0, 1], got 2.0"),
     "select-pixels-kappa-inf": (["select-pixels", "--kappa-map", "kinf.map", "--out-csv", "o.csv", "--seed", "1"], 3,
                                 "error: kinf.map: pixel 0 has kappa inf (byte offset 13)"),
     "select-pixels-seed-negative": (SELECT + ["--seed", "-5"], 2,
@@ -228,6 +233,11 @@ ERRORS = {
                                "angmf refine-demo: error: argument --jitter-kappa: must be finite and > 0: '-1'"),
     "refine-width-zero": (REFINE + ["--width", "0", "--seed", "0"], 2, "error: frame must be at least 1x1, got 0x8"),
     "refine-planes-too-many": (REFINE + ["--planes", "9", "--seed", "0"], 2, "error: 9 planes do not fit in width 8"),
+    "refine-width-huge": (REFINE + ["--width", HUGE, "--seed", "0"], 2,
+                          f"error: frame {HUGE}x8 has more than 4294967296 pixels"),
+    "refine-height-huge": (REFINE + ["--height", HUGE, "--seed", "0"], 2,
+                           f"error: frame 8x{HUGE} has more than 4294967296 pixels"),
+    "refine-planes-huge": (REFINE + ["--planes", HUGE, "--seed", "0"], 2, f"error: {HUGE} planes do not fit in width 8"),
     "refine-planes-fraction": (REFINE + ["--planes", "1.5", "--seed", "0"], 2,
                                "angmf refine-demo: error: argument --planes: invalid int value: '1.5'"),
     "refine-no-frames": (REFINE + ["--frames", "0", "--seed", "0"], 2, "error: no training frames"),

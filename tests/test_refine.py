@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angmf import RngState, make_frame, refine
-from angmf.distributions import angmf_nll, expected_angular_error
+from angmf.distributions import angmf_nll_rows, expected_angular_error
 from angmf.errors import (
     DomainError,
-    EmptyBatch,
+    EmptyInput,
     FormatError,
     NormalizationError,
     NumericalError,
@@ -20,7 +20,6 @@ from angmf.errors import (
 from angmf.refine import (
     RefineMLP,
     TrainConfig,
-    backward,
     forward,
     init_mlp,
     modified_elu,
@@ -77,28 +76,42 @@ def test_modified_elu_grad():
 def test_forward_zero_head_raises():
     mlp = head_only_mlp([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(NormalizationError):
-        forward(mlp, np.ones(6))
+        forward(mlp, np.ones((1, 6)))
 
 
 def test_forward_bias_head():
     mlp = head_only_mlp([0.0, 0.0, 5.0, 0.0])
-    p = forward(mlp, np.ones(6))
-    assert np.allclose(p.mu, EZ, atol=0.0)
-    assert p.kappa == 1.0  # modified_elu(0)
+    mu, kappa = forward(mlp, np.ones((2, 6)))
+    assert np.allclose(mu, EZ, atol=0.0)
+    assert np.all(kappa == 1.0)  # modified_elu(0)
 
 
 def test_forward_head_invariants_seeded():
     mlp = init_mlp(6, hidden_dims=(16, 16), rng=RngState(1))
     gen = np.random.default_rng(2)
     x = gen.uniform(-1.0, 1.0, size=(1000, 6))
-    mu, kappa, _ = _forward_batch(mlp, x, {})
+    mu, kappa = forward(mlp, x)
     assert np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)) < 1e-9
     assert np.all(kappa > 0.0)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(kappa))
-    # per-pixel forward agrees with the batch path
-    p = forward(mlp, x[17])
-    assert np.allclose(p.mu, mu[17], atol=1e-15)
-    assert abs(p.kappa - kappa[17]) < 1e-15
+    # a one-row batch agrees with the row of the full batch
+    mu1, kappa1 = forward(mlp, x[17:18])
+    assert np.allclose(mu1[0], mu[17], atol=1e-15)
+    assert abs(kappa1[0] - kappa[17]) < 1e-15
+
+
+def test_forward_is_the_batch_pass():
+    # the public forward is _forward_batch's (mu, kappa), bit for bit, with
+    # products in the features' dtype
+    mlp = init_mlp(6, RngState(47))
+    x = np.random.default_rng(48).uniform(-1.0, 1.0, size=(300, 6))
+    for feats in (x, x.astype(np.float32)):
+        mu, kappa = forward(mlp, feats)
+        want_mu, want_kappa, (acts, _, _) = _forward_batch(mlp, feats, {})
+        assert acts[1].dtype == feats.dtype
+        assert mu.tobytes() == want_mu.tobytes() and kappa.tobytes() == want_kappa.tobytes()
+    with pytest.raises(ShapeError):
+        forward(mlp, x[0])  # one pixel is a (1, 6) batch, not a 1-D vector
 
 
 def _forward_bytes(fwd):
@@ -189,7 +202,7 @@ def test_init_mlp_bounds_and_validation():
     assert np.max(np.abs(mlp.weights[0])) <= 1.0 / 3.0
     assert np.max(np.abs(mlp.weights[1])) <= 1.0 / math.sqrt(32.0)
     with pytest.raises(DomainError):
-        init_mlp(0)
+        init_mlp(0, RngState(5))
 
 
 # --------------------------------------------------------------- backward
@@ -201,7 +214,12 @@ def _flatten(grads):
 
 
 def _nll_of(mlp, x, n_gt):
-    return angmf_nll(forward(mlp, x), n_gt)
+    return float(angmf_nll_rows(*forward(mlp, x[None]), n_gt)[0])
+
+
+def _one_row_grads(mlp, x, n_gt):
+    """nll gradients of one pixel: a one-row batch through the training backward."""
+    return _backward_batch(mlp, [0], _forward_batch(mlp, x[None], {}), n_gt[None])
 
 
 def test_backward_matches_finite_differences():
@@ -211,12 +229,12 @@ def test_backward_matches_finite_differences():
     for case in range(10):
         mlp = init_mlp(4, hidden_dims=(8,), rng=RngState(100 + case))
         x = gen.uniform(-1.0, 1.0, size=4)
-        mu0 = forward(mlp, x).mu
+        mu0 = forward(mlp, x[None])[0][0]
         while True:
             n_gt = random_unit(gen)
             if abs(np.dot(n_gt, mu0)) < 0.995:
                 break
-        analytic = _flatten(backward(mlp, x, n_gt))
+        analytic = _flatten(_one_row_grads(mlp, x, n_gt))
         fd = np.empty_like(analytic)
         i = 0
         for arrs in (mlp.weights, mlp.biases):
@@ -244,7 +262,7 @@ def test_backward_relu_dead_unit():
     pre = x @ mlp.weights[0].T + mlp.biases[0]
     dead = pre < 0.0
     assert dead.any(), "pick another seed: no dead unit"
-    d_ws, d_bs = backward(mlp, x, normalize([1.0, 2.0, -0.5]))
+    d_ws, d_bs = _one_row_grads(mlp, x, normalize([1.0, 2.0, -0.5]))
     assert np.all(d_ws[0][dead] == 0.0)
     assert np.all(d_bs[0][dead] == 0.0)
     live = ~dead
@@ -258,7 +276,7 @@ def test_backward_kappa_chain_rule_at_zero_angle():
     mlp = head_only_mlp([0.0, 0.0, 5.0, z3])
     x = np.ones(6)
     kappa = modified_elu(z3)
-    d_ws, d_bs = backward(mlp, x, EZ)
+    d_ws, d_bs = _one_row_grads(mlp, x, EZ)
     want = -expected_angular_error(kappa) * modified_elu_grad(z3)
     assert abs(d_bs[0][3] - want) < 1e-12
     assert np.allclose(d_bs[0][:3], 0.0, atol=1e-9)
@@ -271,16 +289,8 @@ def test_backward_batch_is_mean_of_singles():
     x = gen.uniform(-1.0, 1.0, size=(5, 6))
     n_gt = random_unit(gen, 5)
     batch = _flatten(_backward_batch(mlp, np.arange(5), _forward_batch(mlp, x, {}), n_gt))
-    singles = np.mean([_flatten(backward(mlp, x[i], n_gt[i])) for i in range(5)], axis=0)
+    singles = np.mean([_flatten(_one_row_grads(mlp, x[i], n_gt[i])) for i in range(5)], axis=0)
     assert np.allclose(batch, singles, atol=1e-14)
-
-
-def test_backward_validation():
-    mlp = init_mlp(6, hidden_dims=(8,), rng=RngState(10))
-    # a non-zero input, so the zero-bias head does not collapse first
-    fwd = _forward_batch(mlp, np.ones((2, 6)), {})
-    with pytest.raises(ShapeError):
-        _backward_batch(mlp, [0, 1], fwd, np.zeros((3, 3)))
 
 
 def test_backward_rows_of_full_forward_match_fresh_forward():
@@ -369,11 +379,10 @@ def _reference_angular_errors(pred, gt):
 
 
 def test_evaluate_matches_normal_map_route():
-    rng = RngState(40)
     planes = [normalize([0.3, -0.2, 0.93]), normalize([-0.5, 0.1, 0.8])]
     frames = []
     for i in range(3):
-        f = make_frame(24, 16, planes, rng.spawn(i), jitter_kappa=30.0)
+        f = make_frame(24, 16, planes, RngState(40, stream=i), jitter_kappa=30.0)
         gt = f.gt.data.copy()
         gt[(np.arange(24 * 16).reshape(16, 24) * (i + 3)) % 7 == 0] = np.nan  # holes
         frames.append(SyntheticFrame(gt=NormalMap(gt), features=f.features, boundary_mask=f.boundary_mask))
@@ -385,7 +394,7 @@ def test_evaluate_matches_normal_map_route():
 
     total, count, errs = 0.0, 0, []
     for f in frames:
-        mu, kappa, _ = _forward_batch(mlp, f.features.reshape(-1, 6), {})
+        mu, kappa = forward(mlp, f.features.reshape(-1, 6))
         ok = f.gt.valid.ravel()
         gt = f.gt.data.reshape(-1, 3).astype(np.float64)[ok]
         t = np.clip(np.sum(mu[ok] * gt, axis=1), -1.0, 1.0)
@@ -405,9 +414,8 @@ def test_evaluate_matches_normal_map_route():
 
 def make_dataset(n_frames, seed=2000, plane=None):
     plane = normalize([0.3, -0.2, 0.93]) if plane is None else plane
-    rng = RngState(seed)
     return [
-        make_frame(16, 16, [plane], rng.spawn(10 + i), jitter_kappa=None, noise_amp=0.0)
+        make_frame(16, 16, [plane], RngState(seed, stream=10 + i), jitter_kappa=None, noise_amp=0.0)
         for i in range(n_frames)
     ]
 
@@ -538,7 +546,7 @@ def test_train_epoch_matches_sgd_by_hand(batch_size, lr):
 
 
 def test_train_empty_dataset():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(EmptyInput):
         train([], TrainConfig())
 
 

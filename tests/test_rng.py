@@ -64,16 +64,6 @@ def test_counter_resume():
     assert [resumed.next_u64() for _ in range(4)] == tail
 
 
-def test_spawn_is_stream_constructor():
-    root = RngState(77)
-    child = root.spawn(9)
-    assert child.counter == 0
-    fresh = RngState(77, stream=9)
-    assert [child.next_u64() for _ in range(5)] == [fresh.next_u64() for _ in range(5)]
-    # spawning does not advance the parent
-    assert root.counter == 0
-
-
 def test_streams_disjoint_prefixes():
     seen = set()
     for stream in range(20):

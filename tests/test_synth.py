@@ -100,9 +100,18 @@ def test_boundary_count_validation():
 # ----------------------------------------------------------------- frames
 
 
+@pytest.mark.parametrize("width, height", [(2**16, 2**16 + 1), (2**33, 1), (1, 10**30)])
+def test_frame_past_the_draw_ceiling_is_rejected_before_any_draw(width, height):
+    # only sizes past sampling.MAX_COUNT pixels: a size below it may be allocated
+    rng = RngState(0)
+    with pytest.raises(DomainError, match=rf"^frame {width}x{height} has more than 4294967296 pixels$"):
+        make_frame(width, height, [EZ], rng)
+    assert rng.counter == 0
+
+
 def test_single_plane_frame_constant():
     f = make_frame(8, 4, [TILTED], RngState(4))
-    assert f.height == 4 and f.width == 8
+    assert f.gt.height == 4 and f.gt.width == 8
     assert not f.boundary_mask.any()
     assert np.all(f.gt.valid)
     err = np.degrees(np.arccos(np.clip(f.gt.data.astype(float) @ TILTED, -1, 1)))
