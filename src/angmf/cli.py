@@ -47,9 +47,9 @@ def _parse_direction(text):
 
 
 def _input_path(text):
-    # nonexistent inputs are a usage error (exit 2); read failures on
-    # existing files stay I/O errors (exit 3)
-    if not os.path.isfile(text):
+    # a missing path or a directory is a usage error (exit 2); read failures on an
+    # existing file, a named pipe or /dev/fd/N included, stay I/O errors (exit 3)
+    if not os.path.exists(text) or os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"no such file: {text!r}")
     return text
 
@@ -201,11 +201,6 @@ def _cmd_simulate_boundary(args):
     mapio.write_json(payload, args.out_json)
 
 
-def _demo_plane_normals(count, separation_deg):
-    tilts = (np.arange(count) - (count - 1) / 2.0) * math.radians(separation_deg)
-    return [np.array([math.sin(t), 0.0, math.cos(t)]) for t in tilts]
-
-
 def _cmd_refine_demo(args):
     cfg = refine.TrainConfig(
         epochs=args.epochs,
@@ -215,20 +210,8 @@ def _cmd_refine_demo(args):
         beta_ug=args.beta,
         seed=args.seed,
     )
-    synth._check_frame(args.width, args.height, args.planes)  # every flag error before any frame or np.arange
-    rng = RngState(args.seed, stream=1)  # frame stream; training uses the root stream
-    plane_normals = _demo_plane_normals(args.planes, args.separation_deg)
-    frames = [
-        synth.make_frame(
-            args.width,
-            args.height,
-            plane_normals,
-            rng,
-            jitter_kappa=args.jitter_kappa,
-            contamination=args.contamination,
-        )
-        for _ in range(args.frames)
-    ]
+    frames = synth.demo_frames(args.seed, args.frames, args.width, args.height, args.planes,
+                               args.separation_deg, args.jitter_kappa, args.contamination)
     mlp, stats = refine.train(frames, cfg)
     if args.out_weights:
         mapio.save_weights(mlp, args.out_weights)

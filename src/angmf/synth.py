@@ -1,4 +1,4 @@
-"""Synthetic scenes: two-plane boundary mixtures and full training frames.
+"""Synthetic scenes: two-plane boundary mixtures, full training frames and the demo frame set.
 
 The corruption model for a pixel near a plane boundary is a two-component
 mixture: with probability ``contamination`` its ground truth snaps to the
@@ -32,6 +32,7 @@ Frame draw order from the RngState (the determinism contract):
      H * W uniforms each, matching the sampler convention;
   3. one block of 5 * H * W uniforms reshaped to (H, W, 5): the first
      three channels perturb f[0:3], the last two fill f[4:6].
+``demo_frames`` draws its frames in turn from one RngState: stream 1 of its seed.
 """
 
 import math
@@ -42,10 +43,11 @@ import numpy as np
 
 from .errors import DomainError
 from .mapio import NormalMap
+from .rng import RngState
 from .sampling import MAX_COUNT, _check_count, draw_angmf
 from .sphere import as_unit
 
-__all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "FEATURE_DIM"]
+__all__ = ["TwoPlaneScene", "SyntheticFrame", "sample_boundary_pixels", "make_frame", "demo_frames", "FEATURE_DIM"]
 
 FEATURE_DIM = 6
 BAND_PX = 2.0
@@ -161,3 +163,15 @@ def make_frame(width, height, plane_normals, rng, jitter_kappa=None,
         features=features,
         boundary_mask=boundary_mask,
     )
+
+
+def demo_frames(seed, count, width, height, n_planes, separation_deg, jitter_kappa, contamination):
+    """The toy's frame set: ``count`` frames of ``n_planes`` normals tilted about e_y, ``separation_deg``
+    apart and centred on e_z, drawn in turn from ``RngState(seed, stream=1)``; training draws from
+    stream 0 through ``TrainConfig.seed``.  Frame errors raise before any allocation; ``count <= 0`` gives []."""
+    _check_frame(width, height, n_planes)
+    tilts = (np.arange(n_planes) - (n_planes - 1) / 2.0) * math.radians(separation_deg)
+    normals = [np.array([math.sin(t), 0.0, math.cos(t)]) for t in tilts]
+    rng = RngState(seed, stream=1)
+    return [make_frame(width, height, normals, rng, jitter_kappa=jitter_kappa, contamination=contamination)
+            for _ in range(count)]

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import kstest, spearmanr
 
-from angmf import RngState, make_frame
+from angmf import RngState
 from angmf.cli import main
 from angmf.distributions import (
     AngMFParams,
@@ -41,7 +41,7 @@ from angmf.pixel_select import SelectionConfig, select_pixels
 from angmf.refine import TrainConfig, _backward_batch, _forward_batch, forward, init_mlp, train
 from angmf.sampling import sample_angmf
 from angmf.sphere import angle_between, normalize, tangent_basis
-from angmf.synth import TwoPlaneScene, sample_boundary_pixels
+from angmf.synth import TwoPlaneScene, demo_frames, sample_boundary_pixels
 
 from conftest import random_unit
 
@@ -326,20 +326,6 @@ def test_criterion_8_metrics_correctness():
 # ---------------------------------------------------------------------------
 
 
-def _tilted_planes(count, sep_deg):
-    tilts = (np.arange(count) - (count - 1) / 2.0) * math.radians(sep_deg)
-    return [np.array([math.sin(t), 0.0, math.cos(t)]) for t in tilts]
-
-
-def _training_frames(seed, n_frames, width, height, n_planes, contamination):
-    rng = RngState(seed, stream=1)
-    return [
-        make_frame(width, height, _tilted_planes(n_planes, 50.0), rng,
-                   jitter_kappa=50.0, contamination=contamination)
-        for _ in range(n_frames)
-    ]
-
-
 def _frame_eval(mlp, frame):
     x = frame.features.reshape(-1, frame.features.shape[-1])
     mu, kappa = forward(mlp, x)
@@ -364,7 +350,8 @@ def test_criterion_9_trend_reproduction():
     # rare boundary pixels, largest before either run saturates.
     pair_wins = []
     for pair in range(5):
-        frames = _training_frames(1000 + pair, 4, 32, 32, 3, 0.2)
+        # seed, 4 frames of 32x32, 3 planes 50 deg apart, jitter kappa 50, contamination 0.2
+        frames = demo_frames(1000 + pair, 4, 32, 32, 3, 50.0, 50.0, 0.2)
         errs = {}
         for beta in (0.7, 0.0):
             cfg = TrainConfig(epochs=25, learning_rate=1e-2, beta_ug=beta, seed=pair)
@@ -375,10 +362,10 @@ def test_criterion_9_trend_reproduction():
 
     # Part 2: uncertainty calibration needs a longer run (the kappa head
     # settles after the direction head) and a scene rich in boundary pixels.
-    frames = _training_frames(1000, 4, 32, 32, 4, 0.35)
+    frames = demo_frames(1000, 4, 32, 32, 4, 50.0, 50.0, 0.35)
     mlp, _ = train(frames, TrainConfig(epochs=200, learning_rate=1e-2, beta_ug=0.7, seed=0))
     errs, uncs = [], []
-    for f in _training_frames(5000, 2, 32, 32, 4, 0.35):  # held out
+    for f in demo_frames(5000, 2, 32, 32, 4, 50.0, 50.0, 0.35):  # held out
         err, kappa = _frame_eval(mlp, f)
         ok = f.gt.valid
         errs.append(err[ok])

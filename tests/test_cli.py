@@ -1,8 +1,13 @@
+import contextlib
 import json
 import math
+import os
 import struct
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +115,65 @@ def test_eval_bad_magic_is_io_error(tmp_path, capsys):
     bad.write_bytes(b"XXXXX" + bytes(20))
     assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- inputs from pipes
+
+
+@contextlib.contextmanager
+def _fed_fifo(path, data):
+    """A named pipe at ``path`` that a writer thread feeds ``data``; the writer never outlives the block."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the run closed the pipe before the end, or never opened it
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        deadline = time.monotonic() + 30.0
+        while writer.is_alive() and time.monotonic() < deadline:
+            # a run that rejected another flag never opened the pipe: a reader that
+            # comes and goes ends the writer's blocking open
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=0.05)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_inputs_read_through_a_pipe(tmp_path, command):
+    # a FIFO or bash's <(...) is no regular file, but exists and reads as one
+    if command == "fit":
+        flag, src = "--samples-csv", sample_csv(tmp_path, "s.csv", "0,0,1", 5, 3000, 1)  # 3000 rows > a pipe buffer
+        argv = ["fit", "--estimator", "mean"]
+    else:
+        flag, (src, gt) = "--pred", write_pair(tmp_path, np.linspace(0.0, 40.0, 100 * 80), (100, 80))
+        argv = ["eval", "--gt", gt]
+    outs = [tmp_path / f"{kind}.json" for kind in ("file", "pipe")]
+    assert main(argv + [flag, src, "--out-json", str(outs[0])]) == 0
+    with _fed_fifo(tmp_path / "fifo", Path(src).read_bytes()) as fifo:
+        assert main(argv + [flag, fifo, "--out-json", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_rejected_inputs_beside_a_pipe(tmp_path, capsys):
+    pred, gt = write_pair(tmp_path, [0.0, 10.0], (1, 2))
+    with _fed_fifo(tmp_path / "fifo", Path(pred).read_bytes()) as fifo:
+        with pytest.raises(SystemExit) as ei:  # --gt fails after --pred took the pipe, which is never read
+            main(["eval", "--pred", fifo, "--gt", str(tmp_path / "nope.snmp")])
+    assert ei.value.code == 2
+    with pytest.raises(SystemExit) as ei:
+        main(["eval", "--pred", str(tmp_path), "--gt", gt])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --gt: no such file: '{tmp_path / 'nope.snmp'}'" in err
+    assert f"argument --pred: no such file: '{tmp_path}'" in err
 
 
 # --------------------------------------------------------------- sparsify

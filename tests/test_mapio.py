@@ -89,6 +89,17 @@ def test_normal_invalid_pixels_round_trip(tmp_path):
         assert back == m
 
 
+def test_maps_equal_only_maps_of_their_own_type():
+    # a normal map and a kappa map holding the same float32 bytes still differ, as do maps and other objects
+    m = NormalMap.from_vectors(np.array([[EZ]]))
+    k = KappaMap(m.data.reshape(1, 3))
+    assert m.data.tobytes() == k.data.tobytes()
+    assert m.__eq__(k) is NotImplemented and k.__eq__(m) is NotImplemented
+    assert not (m == k) and m != k and k != m
+    for other in (None, "SNMP1", object()):
+        assert not (m == other) and m != other and not (k == other)
+
+
 def test_normal_map_constructor_validation():
     with pytest.raises(ShapeError):
         NormalMap(np.zeros((2, 3)))

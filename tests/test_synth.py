@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from angmf import NormalMap, RngState, TwoPlaneScene, make_frame, sample_boundary_pixels
+from angmf import NormalMap, RngState, TwoPlaneScene, make_frame, sample_boundary_pixels, synth
 from angmf.errors import DegenerateVector, DomainError
 from angmf.sphere import angle_between, normalize
-from angmf.synth import BAND_PX, FEATURE_DIM
+from angmf.synth import BAND_PX, FEATURE_DIM, demo_frames
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
@@ -266,3 +266,73 @@ def test_identical_plane_normals_allowed():
     f = make_frame(8, 2, [EZ, EZ], RngState(14), contamination=0.3)
     assert f.boundary_mask.any()
     assert np.allclose(f.gt.data.astype(float) @ EZ, 1.0, atol=1e-7)
+
+
+# ----------------------------------------------------------- demo frame set
+
+
+def _recording_make_frame(monkeypatch):
+    """Record the plane normals of every make_frame call that demo_frames makes."""
+    calls = []
+    make = synth.make_frame
+
+    def recording(width, height, plane_normals, rng, **kwargs):
+        calls.append([n.copy() for n in plane_normals])
+        return make(width, height, plane_normals, rng, **kwargs)
+
+    monkeypatch.setattr(synth, "make_frame", recording)
+    return calls
+
+
+# tilt of each plane about e_y in units of the separation, written out per plane count
+@pytest.mark.parametrize("n_planes, separation_deg, steps", [
+    (1, 50.0, [0.0]), (2, 60.0, [-0.5, 0.5]), (3, 50.0, [-1.0, 0.0, 1.0]), (4, 50.0, [-1.5, -0.5, 0.5, 1.5]),
+])
+@pytest.mark.parametrize("jitter_kappa, contamination", [(50.0, 0.2), (None, 0.0)])
+def test_demo_frames_are_make_frame_on_stream_one(n_planes, separation_deg, steps, jitter_kappa, contamination):
+    seed, width, height = 1000 + n_planes, 9, 5
+    tilts = [s * math.radians(separation_deg) for s in steps]
+    normals = [np.array([math.sin(t), 0.0, math.cos(t)]) for t in tilts]
+    rng = RngState(seed, stream=1)
+    want = [make_frame(width, height, normals, rng, jitter_kappa=jitter_kappa, contamination=contamination)
+            for _ in range(3)]
+    got = demo_frames(seed, 3, width, height, n_planes, separation_deg, jitter_kappa, contamination)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.gt.data.tobytes() == w.gt.data.tobytes()
+        assert g.features.tobytes() == w.features.tobytes()
+        assert np.array_equal(g.boundary_mask, w.boundary_mask)
+    assert got[0].features.tobytes() != got[1].features.tobytes()  # one stream runs on through the frames
+
+
+@pytest.mark.parametrize("n_planes, separation_deg", [(2, 60.0), (3, 50.0), (4, 50.0), (5, 17.5)])
+def test_demo_frame_normals_are_separated_and_symmetric_about_ez(monkeypatch, n_planes, separation_deg):
+    calls = _recording_make_frame(monkeypatch)
+    demo_frames(3, 2, 8, 2, n_planes, separation_deg, 50.0, 0.2)
+    assert len(calls) == 2
+    for normals in calls:
+        assert len(normals) == n_planes
+        assert all(n[1] == 0.0 for n in normals)  # tilted about e_y
+        for a, b in zip(normals, normals[1:]):
+            assert a[0] < b[0]
+            assert math.isclose(math.degrees(angle_between(a, b)), separation_deg, rel_tol=1e-12)
+        for a, b in zip(normals, normals[::-1]):
+            assert a[0] == -b[0] and a[2] == b[2]  # mirror pairs about e_z
+    assert np.array_equal(calls[0], calls[1])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_no_demo_frames_for_a_count_below_one(monkeypatch, count):
+    calls = _recording_make_frame(monkeypatch)
+    assert demo_frames(1, count, 8, 8, 3, 60.0, 50.0, 0.2) == []
+    assert calls == []
+
+
+def test_demo_frames_check_the_frame_before_any_allocation(monkeypatch):
+    # np.arange(10**30) would fail on its own; the frame check names the planes first
+    calls = _recording_make_frame(monkeypatch)
+    with pytest.raises(DomainError, match=rf"^{10**30} planes do not fit in width 8$"):
+        demo_frames(1, 2, 8, 8, 10**30, 60.0, 50.0, 0.2)
+    with pytest.raises(DomainError, match=r"^frame 1x10000000000 has more than 4294967296 pixels$"):
+        demo_frames(1, 0, 1, 10**10, 1, 60.0, 50.0, 0.2)
+    assert calls == []
